@@ -6,11 +6,12 @@ P-th cell with a "loaded" variant whose junction areas and shunt capacitance
 are rescaled, so the chain is a periodic macrocell of P-1 unloaded cells and
 one loaded cell, repeated N/P times.
 
-The cascade is an ABCD (chain) matrix product evaluated per frequency with
-binary exponentiation.  Deep in a stopband the chain-matrix entries grow like
-exp(kappa N) and would overflow, so the power loop renormalizes the running
-matrices and tracks the scale logarithmically; S-parameters are ratios and
-come out finite either way.
+The cascade builds the macrocell ABCD (chain) matrix once per frequency and
+raises it to the N/P-th power in closed form with the Chebyshev identity for
+unimodular matrices (the Abeles formula for periodic stacks).  Deep in a
+stopband the chain-matrix entries grow like exp(kappa N) and would overflow,
+so that growth is carried separately as a logarithmic scale; S-parameters are
+ratios and come out finite either way.
 """
 
 from __future__ import annotations
@@ -155,7 +156,10 @@ class TwoPortResponse:
             raise ValueError("frequency grid must be strictly ascending")
 
     def validate(self, passivity_tol: float = 1e-9, reciprocity_tol: float = 1e-12):
-        """Check losslessness/passivity and reciprocity of the response."""
+        """Check finiteness, losslessness/passivity and reciprocity."""
+        for name in ("s11", "s21", "s12", "s22"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise SimulationError(f"{name} has non-finite entries")
         power = np.abs(self.s11) ** 2 + np.abs(self.s21) ** 2
         worst = float(np.max(np.abs(power - 1.0))) if power.size else 0.0
         if worst > passivity_tol:
@@ -188,7 +192,7 @@ class DispersionCurve:
 class CascadedAbcd:
     """Total chain matrix per frequency, stored as matrices * exp(log_scale).
 
-    log_scale is zero wherever no renormalization was needed, in which case
+    log_scale is zero wherever the entries cannot overflow, in which case
     ``matrices`` is the plain ABCD product.
     """
 
@@ -260,7 +264,7 @@ def cell_abcd(cell: CellImmittance, freq) -> np.ndarray:
 def chain_abcd(cells, freqs) -> np.ndarray:
     """Plain ordered product of cell matrices (input cell leftmost).
 
-    Reference path for small chains; no renormalization.
+    Reference path for small chains; no overflow handling.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     total = np.broadcast_to(np.eye(2, dtype=complex), (freqs.size, 2, 2)).copy()
@@ -269,72 +273,58 @@ def chain_abcd(cells, freqs) -> np.ndarray:
     return total
 
 
-#: Entry magnitude that triggers renormalization inside the power loop.
-_RESCALE_THRESHOLD = 1e120
-
-
-def _rescale(mats: np.ndarray, log_acc: np.ndarray):
-    peak = np.max(np.abs(mats), axis=(1, 2))
-    mask = peak > _RESCALE_THRESHOLD
-    if np.any(mask):
-        s = peak[mask]
-        mats[mask] /= s[:, None, None]
-        log_acc[mask] += np.log(s)
-
-
-def _matrix_power_rescaled(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """m**n per frequency by binary exponentiation with overflow guards."""
-    count = m.shape[0]
-    result = np.broadcast_to(np.eye(2, dtype=complex), (count, 2, 2)).copy()
-    log_scale = np.zeros(count)
-    base = np.array(m, dtype=complex)
-    base_log = np.zeros(count)
-    k = n
-    while k > 0:
-        if k & 1:
-            result = result @ base
-            log_scale += base_log
-            _rescale(result, log_scale)
-        k >>= 1
-        if k:
-            base = base @ base
-            base_log = base_log * 2.0
-            _rescale(base, base_log)
-    return result, log_scale
-
-
-#: Frequency chunk size for the cascade, bounds peak memory on huge grids.
-_CASCADE_CHUNK = 65536
+#: Stopband growth n Re(t) above which cascade() moves exp((n-1) Re t) into
+#: log_scale; below it every entry stays under ~e^300, far from overflow.
+_LOG_SCALE_ONSET = 300.0
 
 
 def cascade(p: DeviceParams, grid: FrequencyGrid, cells) -> CascadedAbcd:
-    """Total ABCD of the periodic chain, (U^(P-1) L)^(N/P) per frequency."""
+    """Total ABCD of the periodic chain, (U^(P-1) L)^(N/P) per frequency.
+
+    The macrocell M = U^(P-1) L is unimodular, so with n = N/P and
+    x = tr M / 2 = cosh t its power is M^n = U_{n-1}(x) M - U_{n-2}(x) I,
+    where U_{k-1}(cosh t) = sinh(kt) / sinh t is the Chebyshev polynomial of
+    the second kind.  x is folded onto Re x >= 0 first, using
+    U_{k-1}(-x) = (-1)^(k-1) U_{k-1}(x), so t vanishes only at x = +-1,
+    where U_{k-1} = k is taken directly.
+    """
     unloaded, loaded = cells
     n, pitch = p.cell_count, p.pitch
     if n % pitch != 0:
         raise ConfigurationError(
             f"cell_count {n} is not divisible by pitch {pitch}"
         )
+    n //= pitch
     freqs = grid.freqs()
-    mats = np.empty((freqs.size, 2, 2), dtype=complex)
-    logs = np.empty(freqs.size)
-    for lo in range(0, freqs.size, _CASCADE_CHUNK):
-        chunk = freqs[lo : lo + _CASCADE_CHUNK]
-        macro = cell_abcd(unloaded, chunk)
-        for _ in range(pitch - 2):
-            macro = macro @ cell_abcd(unloaded, chunk)
-        macro = macro @ cell_abcd(loaded, chunk)
-        m, s = _matrix_power_rescaled(macro, n // pitch)
-        mats[lo : lo + chunk.size] = m
-        logs[lo : lo + chunk.size] = s
-    return CascadedAbcd(matrices=mats, log_scale=logs)
+    macro = np.linalg.matrix_power(cell_abcd(unloaded, freqs), pitch - 1)
+    macro = macro @ cell_abcd(loaded, freqs)
+
+    x = 0.5 * (macro[:, 0, 0] + macro[:, 1, 1])
+    sign = np.where(x.real < 0, -1.0, 1.0)
+    t = np.arccosh(sign * x)
+    log_scale = np.where(n * t.real > _LOG_SCALE_ONSET, (n - 1) * t.real, 0.0)
+    edge = t == 0
+    sinh_t = np.where(edge, 1.0, np.sinh(t))
+
+    def chebyshev_u(k: int) -> np.ndarray:
+        """U_{k-1}(sign * x) * exp(-log_scale)."""
+        # sinh(z) = -exp(z) expm1(-2z) / 2 is accurate for small z and takes
+        # the scale out before anything can overflow.
+        scaled = -0.5 * np.exp(k * t - log_scale) * np.expm1(-2.0 * k * t)
+        return np.where(edge, k, scaled / sinh_t)
+
+    shift = sign**n * chebyshev_u(n - 1)
+    macro *= (sign ** (n - 1) * chebyshev_u(n))[:, None, None]
+    macro[:, 0, 0] -= shift
+    macro[:, 1, 1] -= shift
+    return CascadedAbcd(matrices=macro, log_scale=log_scale)
 
 
 def abcd_to_s(abcd: np.ndarray, z0: float, log_scale=None, det=None):
     """Standard ABCD to S conversion at a real reference impedance.
 
     Denominator is A + B/Z0 + C Z0 + D.  ``log_scale`` accounts for
-    renormalized matrices (true ABCD = abcd * exp(log_scale)).  ``det``
+    scaled matrices (true ABCD = abcd * exp(log_scale)).  ``det``
     optionally supplies the true chain determinant; passing 1.0 for a
     cascade of analytically unimodular cells keeps S12 equal to S21 at
     rounding level even where the float determinant of a huge-entry matrix

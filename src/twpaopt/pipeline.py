@@ -20,11 +20,16 @@ from .fileio import atomic_write_text, format_float, read_json, sha256_of_file, 
 from .metric import MetricBreakdown
 from .mixing import DriveSpec, optimize_working_point
 from .network import DeviceParams, dispersion, simulate_linear
-from .snail import JunctionSpec, SnailSpec, critical_current, expand_potential
+from .snail import (
+    JunctionSpec,
+    SnailSpec,
+    critical_current,
+    expand_potential,
+    kerr_free_flux,
+)
 from .sweep import (
     DIMENSION_NAMES,
     SweepConfig,
-    bias_flux_for_alpha,
     build_analysis,
     device_from_values,
     evaluate_point,
@@ -287,7 +292,7 @@ def make_objective(cfg: RunConfig):
     def objective(params: dict) -> float:
         device = device_from_values(
             [params[name] for name in DIMENSION_NAMES], cfg.cell_count)
-        flux = bias_flux_for_alpha(
+        flux = kerr_free_flux(
             device.alpha,
             JunctionSpec(device.junction_area, device.current_density))
         return evaluate_point(device, flux, sweep_cfg, cfg.metric).total
@@ -364,7 +369,7 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
 
         device = device_from_values(
             [result.best_params[n] for n in DIMENSION_NAMES], cfg.cell_count)
-        flux = bias_flux_for_alpha(
+        flux = kerr_free_flux(
             device.alpha,
             JunctionSpec(device.junction_area, device.current_density))
         breakdown = evaluate_point(device, flux, _sweep_config(cfg), cfg.metric)

@@ -43,13 +43,10 @@ class JunctionSpec:
 
     area: junction area in um^2.
     current_density: critical current density in uA/um^2.
-    self_capacitance: per-junction capacitance in F.  Present for
-        completeness; the lumped cell model does not use it.
     """
 
     area: float
     current_density: float
-    self_capacitance: float = 0.0
 
     def __post_init__(self):
         if not self.area > 0:
@@ -58,8 +55,6 @@ class JunctionSpec:
             raise ValueError(
                 f"current density must be positive, got {self.current_density}"
             )
-        if self.self_capacitance < 0:
-            raise ValueError("junction capacitance cannot be negative")
 
 
 @dataclass(frozen=True)

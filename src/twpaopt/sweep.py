@@ -14,6 +14,7 @@ subset that survives a metric cutoff.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import math
 import time
@@ -200,11 +201,6 @@ def evaluate_point(
     return evaluate_metric(resp, disp, metric_cfg)
 
 
-def bias_flux_for_alpha(alpha: float, junction: JunctionSpec) -> float:
-    """Kerr-free flux bias for the given junction ratio."""
-    return kerr_free_flux(alpha, junction)
-
-
 def _run_point(args):
     index, params, flux, sweep_cfg, metric_cfg = args
     t0 = time.perf_counter()
@@ -309,67 +305,48 @@ def run_sweep(
     flux_by_alpha: dict[float, float] = {}
     for p in points:
         if p.alpha not in flux_by_alpha:
-            flux_by_alpha[p.alpha] = bias_flux_for_alpha(
+            flux_by_alpha[p.alpha] = kerr_free_flux(
                 p.alpha, JunctionSpec(p.junction_area, p.current_density)
             )
 
     done = load_checkpoint(checkpoint_path, points) if checkpoint_path else {}
     pending = [i for i in range(len(points)) if i not in done]
 
-    ckpt_fh = None
-    if checkpoint_path:
-        ckpt_fh = open(checkpoint_path, "a")
-        # An interrupted run can leave a torn final line; start the next
-        # record on a fresh line so it stays parseable.
-        if ckpt_fh.tell() > 0 and not _ends_with_newline(checkpoint_path):
-            ckpt_fh.write("\n")
     records: dict[int, SweepRecord] = dict(done)
-    try:
-        tasks = (
-            (i, points[i], flux_by_alpha[points[i].alpha], sweep_cfg, metric_cfg)
-            for i in pending
-        )
+    tasks = (
+        (i, points[i], flux_by_alpha[points[i].alpha], sweep_cfg, metric_cfg)
+        for i in pending
+    )
+    with contextlib.ExitStack() as stack:
+        ckpt_fh = None
+        if checkpoint_path:
+            ckpt_fh = stack.enter_context(open(checkpoint_path, "a"))
+            # An interrupted run can leave a torn final line; start the next
+            # record on a fresh line so it stays parseable.
+            if ckpt_fh.tell() > 0 and not _ends_with_newline(checkpoint_path):
+                ckpt_fh.write("\n")
         if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                for index, breakdown, err, wall in pool.map(
-                    _run_point, tasks, chunksize=8
-                ):
-                    rec = SweepRecord(
-                        index=index,
-                        params=points[index],
-                        flux_ext=flux_by_alpha[points[index].alpha],
-                        breakdown=breakdown,
-                        failed=breakdown is None,
-                        error=err,
-                        wall_time=wall,
-                    )
-                    records[index] = rec
-                    if ckpt_fh:
-                        ckpt_fh.write(_checkpoint_line(rec) + "\n")
-                        ckpt_fh.flush()
-                    if progress:
-                        progress(rec)
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_run_point, tasks, chunksize=8)
         else:
-            for task in tasks:
-                index, breakdown, err, wall = _run_point(task)
-                rec = SweepRecord(
-                    index=index,
-                    params=points[index],
-                    flux_ext=flux_by_alpha[points[index].alpha],
-                    breakdown=breakdown,
-                    failed=breakdown is None,
-                    error=err,
-                    wall_time=wall,
-                )
-                records[index] = rec
-                if ckpt_fh:
-                    ckpt_fh.write(_checkpoint_line(rec) + "\n")
-                    ckpt_fh.flush()
-                if progress:
-                    progress(rec)
-    finally:
-        if ckpt_fh:
-            ckpt_fh.close()
+            results = map(_run_point, tasks)
+        for index, breakdown, err, wall in results:
+            rec = SweepRecord(
+                index=index,
+                params=points[index],
+                flux_ext=flux_by_alpha[points[index].alpha],
+                breakdown=breakdown,
+                failed=breakdown is None,
+                error=err,
+                wall_time=wall,
+            )
+            records[index] = rec
+            if ckpt_fh:
+                ckpt_fh.write(_checkpoint_line(rec) + "\n")
+                ckpt_fh.flush()
+            if progress:
+                progress(rec)
 
     return [records[i] for i in range(len(points))]
 
