@@ -11,9 +11,25 @@ pump input A_p(0) = xi, the pump current in units of twice the small
 junction critical current.  The coupling g0 comes from the cubic/quadratic
 coefficient ratio of the biased loop potential.
 
-Integration is fixed-step RK4.  The conserved Manley-Rowe combinations
-|A_s|^2 - |A_i|^2 and |A_s|^2 + |A_p|^2 and a step-halving comparison guard
-accuracy.  In the undepleted-pump limit the signal power gain has the
+Integration is fixed-step RK4 in the pump frame B_p = A_p exp(-i dk x):
+
+    dA_s/dx = i kappa B_p conj(A_i)
+    dA_i/dx = i kappa B_p conj(A_s)
+    dB_p/dx = -i dk B_p + i kappa A_s A_i
+
+which has no explicit x, so no phase factor is evaluated per step; B_p is
+rotated back by exp(i dk x) where amplitudes are returned.  A zero pump
+stays exactly zero in this frame and the signal is left untouched.
+
+Every independent column -- each signal tone, and in a drive sweep each
+(amplitude, tone) pair -- integrates in one loop together with its
+step-halving copy: per step the copies take their first h/2 step in the
+same array operations as the h step of the originals, then their second
+h/2 step alone.  The two runs must agree component by component to
+HALVING_TOL relative, each amplitude on its own scale, so error in the
+small signal is not hidden behind the pump.  The conserved Manley-Rowe
+combinations |A_s|^2 - |A_i|^2 and |A_s|^2 + |A_p|^2 also check accuracy.
+In the undepleted-pump limit the signal power gain has the
 closed form |cosh(g x) + (i dk / 2 g) sinh(g x)|^2 with
 g = sqrt(g0^2 - (dk/2)^2), continued to oscillatory behavior when the
 mismatch dominates.
@@ -21,6 +37,7 @@ mismatch dominates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +177,7 @@ def coupling_constant(
     """Three-wave coupling g0 = |c3| / (2 c2) * xi * sqrt(k_s k_i), rad/cell."""
     if not expansion.c2 > 0:
         raise ValueError("expansion must come from a stable minimum (c2 > 0)")
-    if k_s < 0 or k_i < 0:
+    if np.any(k_s < 0) or np.any(k_i < 0):
         raise ValueError("signal and idler wavenumbers must be non-negative")
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"normalized pump amplitude {xi} outside [0, 1)")
@@ -186,36 +203,110 @@ def undepleted_gain(g0: float, delta_k: float, n_cells: int) -> float:
     return float(np.abs(value) ** 2)
 
 
-def _cme_rhs(x, amps, kappa, delta_k):
-    a_s, a_i, a_p = amps
-    phase = np.exp(-1j * delta_k * x)
-    return np.stack((
-        1j * kappa * a_p * np.conj(a_i) * phase,
-        1j * kappa * a_p * np.conj(a_s) * phase,
-        1j * kappa * a_s * a_i * np.conj(phase),
-    ))
+def _rhs(y, ck, cd, out, tmp):
+    """Pump-frame right-hand side times the step, per column, into ``out``.
+
+    ck = i kappa h and cd = -i dk h per column; y rows are (A_s, A_i, B_p).
+    """
+    np.multiply(ck, y[2], out=tmp)
+    np.conjugate(y[1::-1], out=out[:2])
+    out[:2] *= tmp
+    np.multiply(cd, y[2], out=out[2])
+    np.multiply(y[0], y[1], out=tmp)
+    tmp *= ck
+    out[2] += tmp
 
 
-def _rk4(amps0, kappa, delta_k, n_cells, step, keep_path=False):
-    """Fixed-step RK4 over x in [0, n_cells]; state shape (3, F)."""
+def _rk4_step(y, ck, cd, k, acc, ytmp, tmp):
+    """One classical RK4 step of every column of y, in place.
+
+    k holds each stage's h-scaled slope in turn, acc = k1 + 2 k2 + 2 k3 + k4
+    and ytmp the next stage's input; tmp is one row of scratch.
+    """
+    _rhs(y, ck, cd, k, tmp)
+    np.copyto(acc, k)
+    np.multiply(k, 0.5, out=ytmp)
+    ytmp += y
+    _rhs(ytmp, ck, cd, k, tmp)
+    np.multiply(k, 0.5, out=ytmp)
+    ytmp += y
+    k *= 2.0
+    acc += k
+    _rhs(ytmp, ck, cd, k, tmp)
+    np.add(y, k, out=ytmp)
+    k *= 2.0
+    acc += k
+    _rhs(ytmp, ck, cd, k, tmp)
+    acc += k
+    acc *= 1.0 / 6.0
+    y += acc
+
+
+def _integrate(a0, kappa, delta_k, n_cells, step, keep_path=False):
+    """RK4 over x in [0, n_cells] at step h and at h/2, in one loop.
+
+    ``a0`` is (3, F): (A_s, A_i, A_p) at x = 0 for F independent columns,
+    with per-column ``kappa`` and ``delta_k``.  h = n_cells / n with
+    n = round(n_cells / step).  The state is (3, 2F): columns [0:F] take one
+    step h while columns [F:2F] take their first h/2 step in the same array
+    operations, then [F:2F] alone take their second h/2 step.
+
+    Returns the amplitudes at x = n_cells from the h run and from the h/2
+    run, each (3, F); with ``keep_path`` also the sample points
+    x = 0, h, ..., n_cells and the h run along them, (n + 1, 3, F).
+    """
     n_steps = int(round(n_cells / step))
     h = n_cells / n_steps
-    amps = np.array(amps0, dtype=complex)
-    path = [amps.copy()] if keep_path else None
-    x = 0.0
-    for i in range(n_steps):
-        x = i * h
-        k1 = _cme_rhs(x, amps, kappa, delta_k)
-        k2 = _cme_rhs(x + 0.5 * h, amps + 0.5 * h * k1, kappa, delta_k)
-        k3 = _cme_rhs(x + 0.5 * h, amps + 0.5 * h * k2, kappa, delta_k)
-        k4 = _cme_rhs(x + h, amps + h * k3, kappa, delta_k)
-        amps = amps + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    a0 = np.asarray(a0, dtype=complex)
+    f = a0.shape[1]
+    kappa = np.broadcast_to(kappa, (f,))
+    delta_k = np.broadcast_to(delta_k, (f,))
+    h_col = np.repeat([h, 0.5 * h], f)
+    ck = 1j * np.tile(kappa, 2) * h_col
+    cd = -1j * np.tile(delta_k, 2) * h_col
+    # B_p(0) = A_p(0): the pump frame coincides with the lab frame at x = 0.
+    y = np.tile(a0, 2)
+    bufs = [np.empty_like(y) for _ in range(3)] + [np.empty(2 * f, complex)]
+    half = (y[:, f:], ck[f:], cd[f:]) + tuple(b[..., f:] for b in bufs)
+    path = [a0.copy()] if keep_path else None
+    for _ in range(n_steps):
+        _rk4_step(y, ck, cd, *bufs)
+        _rk4_step(*half)
         if keep_path:
-            path.append(amps.copy())
-    if keep_path:
-        xs = np.linspace(0.0, float(n_cells), n_steps + 1)
-        return amps, xs, np.array(path)
-    return amps
+            path.append(y[:, :f].copy())
+    # Back to the lab frame: A_p = B_p exp(i dk x).
+    y[2] *= np.tile(np.exp(1j * delta_k * n_cells), 2)
+    full, halved = y[:, :f], y[:, f:]
+    if not keep_path:
+        return full, halved
+    xs = np.linspace(0.0, float(n_cells), n_steps + 1)
+    path = np.array(path)
+    path[:, 2] *= np.exp(1j * np.outer(xs, delta_k))
+    return full, halved, xs, path
+
+
+def _halving_error(full, half):
+    """Per-column max over components of |full - half| / |half|.
+
+    Each component is compared on its own scale, floored at 1e-9 of the
+    column's largest amplitude: the signal seed sits orders of magnitude
+    below the pump, so dividing by the column maximum would hide
+    integration error in exactly the mode whose gain is being measured.
+    """
+    mag = np.abs(half)
+    scale = np.maximum(np.max(mag, axis=0), 1e-300)
+    denom = np.maximum(mag, 1e-9 * scale)
+    return np.max(np.abs(full - half) / denom, axis=0)
+
+
+def _halving_failure(err: float) -> AccuracyError | None:
+    """The AccuracyError for a step-halving error above HALVING_TOL."""
+    if err <= HALVING_TOL:
+        return None
+    return AccuracyError(
+        f"step-halving disagreement {err:.3e} exceeds {HALVING_TOL}; "
+        f"reduce the integration step"
+    )
 
 
 def integrate_cme(
@@ -227,29 +318,20 @@ def integrate_cme(
     """Integrate the coupled mode equations from given initial amplitudes.
 
     ``initial`` is (A_s(0), A_i(0), A_p(0)); kappa is g0 / |A_p(0)| (zero
-    pump input propagates unchanged).  With ``accuracy_check`` the run is
-    repeated at half the step and must agree to HALVING_TOL in relative
+    pump input propagates unchanged).  With ``accuracy_check`` the half-step
+    run must agree to HALVING_TOL, component by component in relative
     terms, otherwise AccuracyError suggests a smaller step.
     """
     a0 = np.asarray(initial, dtype=complex).reshape(3, 1)
     xi = float(np.abs(a0[2, 0]))
     kappa = inputs.g0 / xi if xi > 0 else 0.0
-    final, xs, path = _rk4(
+    final, final_half, xs, path = _integrate(
         a0, kappa, inputs.delta_k, inputs.n_cells, step, keep_path=True
     )
     if accuracy_check:
-        final_half = _rk4(a0, kappa, inputs.delta_k, inputs.n_cells, step / 2.0)
-        # Per-component comparison: the signal seed is orders of magnitude
-        # below the pump, so normalizing by the overall scale would hide
-        # integration error in exactly the mode whose gain is being measured.
-        scale = max(float(np.max(np.abs(final_half))), 1e-300)
-        denom = np.maximum(np.abs(final_half), 1e-9 * scale)
-        err = float(np.max(np.abs(final - final_half) / denom))
-        if err > HALVING_TOL:
-            raise AccuracyError(
-                f"step-halving disagreement {err:.3e} exceeds {HALVING_TOL}; "
-                f"reduce the integration step"
-            )
+        failure = _halving_failure(float(_halving_error(final, final_half)[0]))
+        if failure is not None:
+            raise failure
     return CmeTrajectory(
         x=xs,
         a_s=path[:, 0, 0],
@@ -264,6 +346,57 @@ def signal_idler_grid(drive: DriveSpec) -> np.ndarray:
     return lo + drive.signal_step * np.arange(n)
 
 
+def _gain_profiles(disp, expansion, template, n_cells, xis):
+    """Gain profile, or the AccuracyError that rejects it, for each xi.
+
+    Tones come from ``template`` (its own pump strength is not used).  Every
+    (xi > 0, tone) pair is one column of a single _integrate call, seeded at
+    SEED_RATIO * xi with the idler empty; xi == 0 is the flat zero profile.
+    The step-halving guard applies to each xi separately.
+    """
+    f_s = signal_idler_grid(template)
+    f_i = template.pump_freq - f_s
+    k_s = disp.sample(f_s)
+    k_i = disp.sample(f_i)
+    k_p = float(disp.sample(template.pump_freq))
+    if np.any(k_s < 0) or np.any(k_i < 0):
+        raise ValueError("negative wavenumber in the signal band")
+
+    zeros = np.zeros_like(f_s)
+    flat = GainProfile(freqs=f_s, gain_db=zeros, pump_depletion=zeros)
+    driven = [xi for xi in xis if xi != 0.0]
+    if not driven:
+        return [flat for _ in xis]
+
+    kappa = np.concatenate(
+        [coupling_constant(expansion, xi, k_s, k_i) / xi for xi in driven]
+    )
+    pump = np.repeat(driven, f_s.size)
+    seed = SEED_RATIO * pump
+    a0 = np.zeros((3, pump.size), dtype=complex)
+    a0[0] = seed
+    a0[2] = pump
+    final, final_half = _integrate(
+        a0, kappa, np.tile(k_p - k_s - k_i, len(driven)), n_cells, RK4_STEP
+    )
+
+    shape = (len(driven), f_s.size)
+    err = _halving_error(final, final_half).reshape(shape).max(axis=1)
+    gain_db = (10.0 * np.log10(np.abs(final[0] / seed) ** 2)).reshape(shape)
+    depletion = np.maximum(1.0 - np.abs(final[2] / pump) ** 2, 0.0)
+    depletion = depletion.reshape(shape)
+    solved = iter(zip(err, gain_db, depletion))
+    out = []
+    for xi in xis:
+        if xi == 0.0:
+            out.append(flat)
+            continue
+        e, g, d = next(solved)
+        out.append(_halving_failure(float(e))
+                   or GainProfile(freqs=f_s, gain_db=g, pump_depletion=d))
+    return out
+
+
 def gain_profile(
     disp: DispersionCurve,
     expansion: PotentialExpansion,
@@ -273,47 +406,14 @@ def gain_profile(
 ) -> GainProfile:
     """Signal gain across the band, idler at f_p - f_s, seeded from vacuum scale.
 
-    All signal frequencies integrate in one vectorized RK4 pass (per-column
-    phase mismatch), with a half-step verification pass.
+    All signal frequencies integrate as columns of one RK4 loop (per-column
+    phase mismatch) together with their half-step verification columns.
     """
     xi = drive.resolve_xi(i_c_small_ua)
-    f_s = signal_idler_grid(drive)
-    f_i = drive.pump_freq - f_s
-    k_s = disp.sample(f_s)
-    k_i = disp.sample(f_i)
-    k_p = float(disp.sample(drive.pump_freq))
-    if np.any(k_s < 0) or np.any(k_i < 0):
-        raise ValueError("negative wavenumber in the signal band")
-
-    if xi == 0.0:
-        zeros = np.zeros_like(f_s)
-        return GainProfile(freqs=f_s, gain_db=zeros, pump_depletion=zeros)
-
-    g0 = abs(expansion.c3) / (2.0 * expansion.c2) * xi * np.sqrt(k_s * k_i)
-    delta_k = k_p - k_s - k_i
-    kappa = g0 / xi
-
-    seed = SEED_RATIO * xi
-    a0 = np.zeros((3, f_s.size), dtype=complex)
-    a0[0] = seed
-    a0[2] = xi
-
-    final = _rk4(a0, kappa, delta_k, n_cells, RK4_STEP)
-    final_half = _rk4(a0, kappa, delta_k, n_cells, RK4_STEP / 2.0)
-    scale = np.maximum(np.max(np.abs(final_half), axis=0), 1e-300)
-    err = float(np.max(np.max(np.abs(final - final_half), axis=0) / scale))
-    if err > HALVING_TOL:
-        raise AccuracyError(
-            f"step-halving disagreement {err:.3e} exceeds {HALVING_TOL}"
-        )
-
-    gain_db = 10.0 * np.log10(np.abs(final[0] / seed) ** 2)
-    depletion = 1.0 - np.abs(final[2] / xi) ** 2
-    return GainProfile(
-        freqs=f_s,
-        gain_db=gain_db,
-        pump_depletion=np.maximum(depletion, 0.0),
-    )
+    [profile] = _gain_profiles(disp, expansion, drive, n_cells, [xi])
+    if isinstance(profile, AccuracyError):
+        raise profile
+    return profile
 
 
 def performance(profile: GainProfile, band: tuple[float, float] | None = None) -> float:
@@ -334,16 +434,16 @@ def optimize_working_point(
 ) -> WorkingPointResult:
     """Exhaustive pump-amplitude sweep at fixed flux bias.
 
-    Scores each amplitude by band-mean gain; ties resolve to the lower
-    amplitude.  Per-point failures are recorded with -inf performance and
-    skipped; if every point fails the sweep itself raises.
+    Every amplitude is resolved first, then all of them integrate as one
+    batch.  Scores each amplitude by band-mean gain; ties resolve to the
+    first listed amplitude.  Per-point failures (an amplitude outside the
+    drive range, a step-halving rejection) are recorded with -inf
+    performance and skipped; if every point fails the sweep itself raises.
     """
     amplitudes = [float(a) for a in pump_amplitudes_ua]
     if not amplitudes:
         raise ValueError("pump amplitude grid is empty")
-    rows, profiles = [], []
-    best = None
-    last_error = None
+    resolved = []
     for amp in amplitudes:
         drive = DriveSpec(
             pump_freq=drive_template.pump_freq,
@@ -353,10 +453,29 @@ def optimize_working_point(
             flux_phi0=flux_phi0,
         )
         try:
-            profile = gain_profile(disp, expansion, drive, n_cells, i_c_small_ua)
-            perf = performance(profile)
-        except Exception as exc:
-            last_error = exc
+            resolved.append(drive.resolve_xi(i_c_small_ua))
+        except ValueError as exc:
+            resolved.append(exc)
+    xis = [r for r in resolved if not isinstance(r, Exception)]
+    try:
+        solved = iter(
+            _gain_profiles(disp, expansion, drive_template, n_cells, xis)
+        )
+    except Exception as exc:  # a failure of the device fails every drive
+        solved = itertools.repeat(exc)
+
+    rows, profiles = [], []
+    best = None
+    last_error = None
+    for amp, r in zip(amplitudes, resolved):
+        outcome = r if isinstance(r, Exception) else next(solved)
+        if not isinstance(outcome, Exception):
+            try:
+                perf = performance(outcome)
+            except Exception as exc:
+                outcome = exc
+        if isinstance(outcome, Exception):
+            last_error = outcome
             rows.append({
                 "pump_amplitude_ua": amp,
                 "flux_phi0": flux_phi0,
@@ -371,7 +490,7 @@ def optimize_working_point(
             "performance_db": perf,
             "failed": False,
         })
-        profiles.append(profile)
+        profiles.append(outcome)
         if best is None or perf > best["performance_db"]:
             best = rows[-1]
     if best is None:

@@ -2,7 +2,8 @@
 
 Everything here deliberately uses a different algorithm than the code under
 test: nodal admittance instead of chain matrices, matrix exponentials
-instead of hyperbolic closed forms, finite differences instead of analytic
+instead of hyperbolic closed forms, Jacobi elliptic functions instead of
+time stepping, finite differences instead of analytic
 derivatives, dense scans plus warm-started Newton instead of bracketed root
 finding, and plain dense linear algebra instead of cached Cholesky factors.
 Slow and simple on purpose.
@@ -15,6 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import ellipj
 
 
 def nodal_ladder_sparams(series_l, shunt_c, freqs, z0):
@@ -167,6 +169,27 @@ def undepleted_gain_expm(g0, delta_k, n_cells):
     )
     u = expm(m * float(n_cells))
     return float(abs(u[0, 0]) ** 2)
+
+
+def depleted_pump_intensities(kappa, s0, p0, x):
+    """Exact phase-matched three-wave intensities with pump depletion.
+
+    For dk = 0, A_i(0) = 0 and real A_s(0) = s0, A_p(0) = p0 the coupled
+    mode equations dA_s/dx = i kappa A_p conj(A_i), dA_i/dx = i kappa A_p
+    conj(A_s), dA_p/dx = i kappa A_s A_i have the Jacobi-elliptic solution
+    (Armstrong, Bloembergen, Ducuing & Pershan, Phys. Rev. 127, 1918 (1962))
+
+        |A_i|^2 = p0^2 s0^2 / (p0^2 + s0^2) sd^2(kappa sqrt(p0^2 + s0^2) x | m)
+
+    with m = p0^2 / (p0^2 + s0^2) and sd = sn / dn; the Manley-Rowe
+    relations then give |A_s|^2 = s0^2 + |A_i|^2, |A_p|^2 = p0^2 - |A_i|^2.
+    Returns (|A_s|^2, |A_i|^2, |A_p|^2) at the positions x.
+    """
+    total = p0 * p0 + s0 * s0
+    sn, _, dn, _ = ellipj(kappa * math.sqrt(total) * np.asarray(x, float),
+                          p0 * p0 / total)
+    idler = p0 * p0 * s0 * s0 / total * (sn / dn) ** 2
+    return s0 * s0 + idler, idler, p0 * p0 - idler
 
 
 def sq_exp_kernel_loops(xa, xb, signal_variance, length_scales):

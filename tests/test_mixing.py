@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import undepleted_gain_expm
+from oracles import depleted_pump_intensities, undepleted_gain_expm
+from twpaopt import mixing
 from twpaopt.mixing import (
     AccuracyError,
     CmeInputs,
@@ -75,6 +76,34 @@ def test_cme_idler_buildup_obeys_manley_rowe():
     assert d_sum < 1e-8
     # The pump actually depletes at this seed level.
     assert abs(traj.a_p[-1]) < 0.3
+
+
+@pytest.mark.parametrize("g0n, ratio, p0", [(4.0, 1e-2, 0.3),
+                                            (6.0, 1e-3, 0.2),
+                                            (10.0, 1e-1, 0.4)])
+def test_cme_depleted_pump_matches_elliptic_solution(g0n, ratio, p0):
+    n = 360
+    inputs = CmeInputs(k_s=0.5, k_i=0.5, k_p=1.0, g0=g0n / n, n_cells=n)
+    s0 = ratio * p0
+    traj = integrate_cme(inputs, (s0, 0.0, p0))
+    exact = depleted_pump_intensities(inputs.g0 / p0, s0, p0, traj.x)
+    numeric = (abs(traj.a_s) ** 2, abs(traj.a_i) ** 2, abs(traj.a_p) ** 2)
+    # Along the line against the conserved total (the pump can pass through
+    # zero on the way), at the output against each intensity itself.
+    total = s0 * s0 + p0 * p0
+    for got, ref in zip(numeric, exact):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9 * total)
+        assert got[-1] == pytest.approx(ref[-1], rel=1e-9)
+    # The regime is depleted, not the undepleted limit in disguise.
+    assert exact[2][-1] < 0.97 * p0 * p0
+
+
+def test_cme_pump_path_is_in_the_lab_frame():
+    # A weak signal leaves the pump at its input value along the whole line
+    # even when the tones are far from phase matching.
+    inputs = CmeInputs(k_s=0.4, k_i=0.5, k_p=1.0, g0=0.5 / 100, n_cells=100)
+    traj = integrate_cme(inputs, (1e-9, 0.0, 0.2))
+    np.testing.assert_allclose(traj.a_p, 0.2, rtol=1e-9)
 
 
 def test_cme_zero_pump_propagates_unchanged():
@@ -148,6 +177,17 @@ def test_coupling_constant_frozen_value(ref_expansion):
     assert g0 == pytest.approx(ratio * 0.2 * np.sqrt(0.49 * 0.64), rel=1e-12)
     with pytest.raises(ValueError):
         coupling_constant(ref_expansion, xi=1.2, k_s=0.5, k_i=0.5)
+
+
+def test_gain_profile_halving_guard_is_per_component(
+        ref_dispersion, ref_expansion, monkeypatch):
+    # At a 4-cell step the signal is off by ~1e-5 relative while the pump,
+    # the largest amplitude in each column, agrees to ~4e-7.
+    monkeypatch.setattr(mixing, "RK4_STEP", 4.0)
+    with pytest.raises(AccuracyError):
+        gain_profile(ref_dispersion, ref_expansion,
+                     drive(step=0.05e9, xi=0.499),
+                     n_cells=360, i_c_small_ua=0.441)
 
 
 def test_gain_profile_zero_pump_is_flat_zero(ref_dispersion, ref_expansion):
@@ -228,6 +268,27 @@ def test_optimize_working_point_skips_failures(ref_dispersion, ref_expansion):
     assert result.rows[1]["performance_db"] == float("-inf")
     assert result.profiles[1] is None
     assert result.best["pump_amplitude_ua"] == 0.1
+
+
+def test_optimize_working_point_batch_matches_single_drives(
+        ref_dispersion, ref_expansion):
+    amps = [0.1, 5.0, 0.15]
+    result = optimize_working_point(
+        ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.441,
+        drive_template=drive(pump_amplitude_ua=0.1, xi=None),
+        pump_amplitudes_ua=amps, flux_phi0=0.38447551700472826)
+    assert result.rows[1]["failed"]
+    assert result.profiles[1] is None
+    for i in (0, 2):
+        single = gain_profile(ref_dispersion, ref_expansion,
+                              drive(pump_amplitude_ua=amps[i], xi=None),
+                              n_cells=360, i_c_small_ua=0.441)
+        np.testing.assert_allclose(result.profiles[i].gain_db,
+                                   single.gain_db, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(result.profiles[i].freqs, single.freqs)
+        assert result.rows[i]["performance_db"] == pytest.approx(
+            performance(single), abs=1e-12)
+    assert result.best["pump_amplitude_ua"] == 0.15
 
 
 def test_optimize_working_point_all_failures_raise(ref_dispersion,
