@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from twpaopt.mixing import DriveSpec, gain_profile, performance
+from twpaopt.fileio import write_csv
+from twpaopt.mixing import GAIN_PROFILE_COLUMNS, DriveSpec, gain_profile, performance
 from twpaopt.network import (
     CellConfig,
     DeviceParams,
@@ -59,7 +60,8 @@ def parse_args(argv=None):
     drv.add_argument("--tol-db", type=float, default=0.25)
     drv.add_argument("--max-iter", type=int, default=40)
     ap.add_argument("--profile-out", default=None,
-                    help="write the final gain profile CSV here")
+                    help="write the final gain profile CSV here "
+                         "(17 significant digits)")
     return ap.parse_args(argv)
 
 
@@ -77,7 +79,7 @@ def main(argv=None):
     )
     junction = JunctionSpec(device.junction_area, device.current_density)
     i_c = critical_current(junction)
-    flux = kerr_free_flux(device.alpha, junction)
+    flux = kerr_free_flux(device.alpha)
     pump = args.pump_ghz * 1e9
     band = tuple(b * 1e9 for b in args.band_ghz)
 
@@ -123,12 +125,8 @@ def main(argv=None):
           f"{float(np.max(profile.pump_depletion)):.3e}")
 
     if args.profile_out:
-        lines = ["f_signal_Hz,gain_dB,pump_depletion"]
-        for f, g, d in zip(profile.freqs, profile.gain_db,
-                           profile.pump_depletion):
-            lines.append(f"{f:.10g},{g:.10g},{d:.10g}")
-        with open(args.profile_out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(args.profile_out, GAIN_PROFILE_COLUMNS,
+                  zip(profile.freqs, profile.gain_db, profile.pump_depletion))
         print(f"profile -> {args.profile_out}")
     return 0
 

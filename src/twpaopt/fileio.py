@@ -1,8 +1,10 @@
 """Serialization helpers shared by the artifact writers.
 
 All floats in external files carry 17 significant digits, which guarantees
-exact round-tripping of IEEE doubles.  Writes are atomic: content goes to a
-temporary file in the target directory and is renamed into place.
+exact round-tripping of IEEE doubles.  Every CSV table goes through
+write_csv and every JSON document through write_json.  Writes are atomic:
+content goes to a temporary file in the target directory and is renamed
+into place.
 """
 
 from __future__ import annotations
@@ -32,6 +34,29 @@ def atomic_write_text(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):  # also np.float64
+        return format_float(value)
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"unsupported CSV cell of type {type(value).__name__}")
+
+
+def write_csv(path, header, rows):
+    """Atomically write a CSV table: a header row, then one line per row.
+
+    Cells render by type: bool as true/false, int as is, float at 17
+    significant digits (inf as "inf"), str unchanged.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def dumps_json17(obj, indent: int = 2) -> str:

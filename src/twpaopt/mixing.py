@@ -62,9 +62,8 @@ class DriveSpec:
     pump_freq in Hz; signal_band (lo, hi) in Hz with signal_step the gain
     grid spacing.  The pump strength is either ``xi`` directly (pump current
     over twice the small-junction critical current) or ``pump_amplitude_ua``
-    in uA, resolved against the device.  The flux bias is either
-    ``flux_phi0`` in Phi0 or ``flux_current_ua`` through a configured
-    mutual.
+    in uA, resolved against the device.  The flux bias is not part of the
+    drive: it is fixed by the expansion the gain is computed from.
     """
 
     pump_freq: float
@@ -72,8 +71,6 @@ class DriveSpec:
     signal_step: float
     pump_amplitude_ua: float | None = None
     xi: float | None = None
-    flux_phi0: float | None = None
-    flux_current_ua: float | None = None
 
     def __post_init__(self):
         if not self.pump_freq > 0:
@@ -99,18 +96,6 @@ class DriveSpec:
         if not 0.0 <= xi < 1.0:
             raise ValueError(f"normalized pump amplitude {xi} outside [0, 1)")
         return xi
-
-    def resolve_flux(self, mutual_phi0_per_ua: float | None) -> float | None:
-        """Flux bias in Phi0, or None when unspecified."""
-        if self.flux_phi0 is not None:
-            return float(self.flux_phi0)
-        if self.flux_current_ua is not None:
-            if mutual_phi0_per_ua is None:
-                raise ValueError(
-                    "flux given as a line current but no mutual is configured"
-                )
-            return self.flux_current_ua * mutual_phi0_per_ua
-        return None
 
 
 @dataclass(frozen=True)
@@ -151,6 +136,10 @@ class CmeTrajectory:
             float(np.max(np.abs(d1 - d1[0]))),
             float(np.max(np.abs(d2 - d2[0]))),
         )
+
+
+#: Column header of a gain-profile table, one row per signal tone.
+GAIN_PROFILE_COLUMNS = ("f_signal_Hz", "gain_dB", "pump_depletion")
 
 
 @dataclass
@@ -247,7 +236,7 @@ def _integrate(a0, kappa, delta_k, n_cells, step, keep_path=False):
 
     ``a0`` is (3, F): (A_s, A_i, A_p) at x = 0 for F independent columns,
     with per-column ``kappa`` and ``delta_k``.  h = n_cells / n with
-    n = round(n_cells / step).  The state is (3, 2F): columns [0:F] take one
+    n = round(n_cells / step), which must be at least 1.  The state is (3, 2F): columns [0:F] take one
     step h while columns [F:2F] take their first h/2 step in the same array
     operations, then [F:2F] alone take their second h/2 step.
 
@@ -255,6 +244,11 @@ def _integrate(a0, kappa, delta_k, n_cells, step, keep_path=False):
     run, each (3, F); with ``keep_path`` also the sample points
     x = 0, h, ..., n_cells and the h run along them, (n + 1, 3, F).
     """
+    if not step > 0 or round(n_cells / step) < 1:
+        raise ValueError(
+            f"integration step {step!r} must be positive and below "
+            f"2 * n_cells = {2 * n_cells} to take at least one RK4 step"
+        )
     n_steps = int(round(n_cells / step))
     h = n_cells / n_steps
     a0 = np.asarray(a0, dtype=complex)
@@ -439,6 +433,8 @@ def optimize_working_point(
     first listed amplitude.  Per-point failures (an amplitude outside the
     drive range, a step-halving rejection) are recorded with -inf
     performance and skipped; if every point fails the sweep itself raises.
+    ``flux_phi0`` is the bias ``expansion`` was taken at; it only fills the
+    flux column of each row.
     """
     amplitudes = [float(a) for a in pump_amplitudes_ua]
     if not amplitudes:
@@ -450,7 +446,6 @@ def optimize_working_point(
             signal_band=drive_template.signal_band,
             signal_step=drive_template.signal_step,
             pump_amplitude_ua=amp,
-            flux_phi0=flux_phi0,
         )
         try:
             resolved.append(drive.resolve_xi(i_c_small_ua))
@@ -474,24 +469,17 @@ def optimize_working_point(
                 perf = performance(outcome)
             except Exception as exc:
                 outcome = exc
-        if isinstance(outcome, Exception):
-            last_error = outcome
-            rows.append({
-                "pump_amplitude_ua": amp,
-                "flux_phi0": flux_phi0,
-                "performance_db": float("-inf"),
-                "failed": True,
-            })
-            profiles.append(None)
-            continue
+        failed = isinstance(outcome, Exception)
         rows.append({
             "pump_amplitude_ua": amp,
             "flux_phi0": flux_phi0,
-            "performance_db": perf,
-            "failed": False,
+            "performance_db": float("-inf") if failed else perf,
+            "failed": failed,
         })
-        profiles.append(outcome)
-        if best is None or perf > best["performance_db"]:
+        profiles.append(None if failed else outcome)
+        if failed:
+            last_error = outcome
+        elif best is None or perf > best["performance_db"]:
             best = rows[-1]
     if best is None:
         raise RuntimeError(

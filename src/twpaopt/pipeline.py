@@ -16,9 +16,9 @@ import numpy as np
 
 from .bayesopt import SearchSpace, optimize_metric
 from .config import ConfigError, RunConfig, load_config
-from .fileio import atomic_write_text, format_float, read_json, sha256_of_file, write_json
+from .fileio import atomic_write_text, read_json, sha256_of_file, write_csv, write_json
 from .metric import MetricBreakdown
-from .mixing import DriveSpec, optimize_working_point
+from .mixing import GAIN_PROFILE_COLUMNS, DriveSpec, optimize_working_point
 from .network import DeviceParams, dispersion, simulate_linear
 from .snail import (
     JunctionSpec,
@@ -292,9 +292,7 @@ def make_objective(cfg: RunConfig):
     def objective(params: dict) -> float:
         device = device_from_values(
             [params[name] for name in DIMENSION_NAMES], cfg.cell_count)
-        flux = kerr_free_flux(
-            device.alpha,
-            JunctionSpec(device.junction_area, device.current_density))
+        flux = kerr_free_flux(device.alpha)
         return evaluate_point(device, flux, sweep_cfg, cfg.metric).total
 
     return objective
@@ -308,21 +306,6 @@ def nearest_table_point(params: dict) -> dict:
         values = dim.values()
         snapped[name] = float(values[np.argmin(np.abs(values - params[name]))])
     return snapped
-
-
-def _write_trace_csv(path, history):
-    lines = [",".join(TRACE_COLUMNS)]
-    for h in history:
-        fields = [str(h.combo_id), str(h.iteration)]
-        for name in DIMENSION_NAMES:
-            value = h.params[name]
-            fields.append(
-                str(int(round(value))) if name == "pitch"
-                else format_float(float(value)))
-        fields.append(format_float(float(h.metric)))
-        fields.append("true" if h.is_incumbent else "false")
-        lines.append(",".join(fields))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _breakdown_doc(b: MetricBreakdown) -> dict:
@@ -365,13 +348,16 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
                 warm_start=warm)
         except ValueError as exc:  # budget precondition
             raise ConfigError(str(exc)) from exc
-        _write_trace_csv(paths.trace_csv, result.history)
+        write_csv(paths.trace_csv, TRACE_COLUMNS, (
+            (h.combo_id, h.iteration,
+             *(int(round(h.params[n])) if n == "pitch" else float(h.params[n])
+               for n in DIMENSION_NAMES),
+             float(h.metric), bool(h.is_incumbent))
+            for h in result.history))
 
         device = device_from_values(
             [result.best_params[n] for n in DIMENSION_NAMES], cfg.cell_count)
-        flux = kerr_free_flux(
-            device.alpha,
-            JunctionSpec(device.junction_area, device.current_density))
+        flux = kerr_free_flux(device.alpha)
         breakdown = evaluate_point(device, flux, _sweep_config(cfg), cfg.metric)
         doc = {
             "params": {n: result.best_params[n] for n in DIMENSION_NAMES},
@@ -403,6 +389,9 @@ def _device_from_doc(doc: dict) -> DeviceParams:
 
 
 def _resolve_stage3_flux(cfg: RunConfig, pstar_doc: dict) -> float:
+    """Stage-3 flux bias in Phi0: ``drive.flux_phi0``, else
+    ``drive.flux_current_ua`` through ``cell.mutual_phi0_per_ua``, else the
+    Kerr-free bias recorded with p*."""
     drive = cfg.drive
     if drive.flux_phi0 is not None:
         return float(drive.flux_phi0)
@@ -413,26 +402,6 @@ def _resolve_stage3_flux(cfg: RunConfig, pstar_doc: dict) -> float:
                 "drive.flux_current_ua requires cell.mutual_phi0_per_ua")
         return float(drive.flux_current_ua) * mutual
     return float(pstar_doc["flux_ext_phi0"])
-
-
-def _write_gain_profile_csv(path, profile):
-    lines = ["f_signal_Hz,gain_dB,pump_depletion"]
-    for f, g, d in zip(profile.freqs, profile.gain_db, profile.pump_depletion):
-        lines.append(",".join(
-            (format_float(float(f)), format_float(float(g)),
-             format_float(float(d)))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_working_points_csv(path, rows):
-    lines = ["pump_amplitude_uA,flux_phi0,performance_dB"]
-    for row in rows:
-        lines.append(",".join((
-            format_float(row["pump_amplitude_ua"]),
-            format_float(row["flux_phi0"]),
-            format_float(row["performance_db"]),
-        )))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
@@ -476,12 +445,17 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
             if profile is None:
                 continue
             name = f"gain_profile_{i:03d}.csv"
-            _write_gain_profile_csv(paths.gain_profile(i), profile)
+            write_csv(paths.gain_profile(i), GAIN_PROFILE_COLUMNS,
+                      zip(profile.freqs, profile.gain_db,
+                          profile.pump_depletion))
             outputs.append(name)
             if (row["pump_amplitude_ua"] == wp.best["pump_amplitude_ua"]
                     and best_profile_file is None):
                 best_profile_file = name
-        _write_working_points_csv(paths.working_points, wp.rows)
+        write_csv(paths.working_points,
+                  ("pump_amplitude_uA", "flux_phi0", "performance_dB"),
+                  ((r["pump_amplitude_ua"], r["flux_phi0"], r["performance_db"])
+                   for r in wp.rows))
 
         qstar_doc = {
             "pump_amplitude_ua": wp.best["pump_amplitude_ua"],
@@ -503,42 +477,6 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
     return qstar_doc
 
 
-def _write_dispersion_csv(path, cfg: RunConfig, pstar_doc: dict):
-    device = _device_from_doc(pstar_doc)
-    flux = float(pstar_doc["flux_ext_phi0"])
-    grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
-    resp = simulate_linear(device, flux, grid, cfg.cell)
-    disp = dispersion(resp, device.cell_count)
-
-    f_p = cfg.metric.pump_freq
-    freqs = np.unique(np.concatenate((disp.freqs, [f_p, f_p / 2.0])))
-    k = disp.sample(freqs)
-    k_half_doubled = 2.0 * disp.sample(freqs / 2.0)
-    lines = ["f_Hz,k_rad_per_cell,two_k_half_rad_per_cell"]
-    for f, k1, k2 in zip(freqs, k, k_half_doubled):
-        lines.append(",".join((
-            format_float(float(f)), format_float(float(k1)),
-            format_float(float(k2)))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_correlation_csv(path, analysis_doc: dict):
-    dims = analysis_doc["dimensions"]
-    lines = ["param," + ",".join(dims)]
-    for name, row in zip(dims, analysis_doc["correlation"]):
-        lines.append(name + "," + ",".join(format_float(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_histograms_csv(path, analysis_doc: dict):
-    lines = ["dimension,value,weight"]
-    for hist in analysis_doc["histograms"]:
-        for value, weight in zip(hist["values"], hist["weights"]):
-            lines.append(",".join((
-                hist["name"], format_float(value), format_float(weight))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def run_report(cfg: RunConfig, paths: RunPaths, manifest: dict) -> list:
     """Plot-ready CSV tables derived from completed stage artifacts."""
     for required in (paths.stage1_analysis, paths.pstar_json, paths.qstar_json):
@@ -553,12 +491,27 @@ def run_report(cfg: RunConfig, paths: RunPaths, manifest: dict) -> list:
         analysis_doc = read_json(paths.stage1_analysis)
         qstar_doc = read_json(paths.qstar_json)
 
-        _write_dispersion_csv(
-            paths.report_file("dispersion.csv"), cfg, pstar_doc)
-        _write_correlation_csv(
-            paths.report_file("correlation.csv"), analysis_doc)
-        _write_histograms_csv(
-            paths.report_file("histograms.csv"), analysis_doc)
+        device = _device_from_doc(pstar_doc)
+        grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
+        resp = simulate_linear(
+            device, float(pstar_doc["flux_ext_phi0"]), grid, cfg.cell)
+        disp = dispersion(resp, device.cell_count)
+        f_p = cfg.metric.pump_freq
+        freqs = np.unique(np.concatenate((disp.freqs, [f_p, f_p / 2.0])))
+        write_csv(paths.report_file("dispersion.csv"),
+                  ("f_Hz", "k_rad_per_cell", "two_k_half_rad_per_cell"),
+                  zip(freqs, disp.sample(freqs),
+                      2.0 * disp.sample(freqs / 2.0)))
+
+        dims = analysis_doc["dimensions"]
+        write_csv(paths.report_file("correlation.csv"), ["param", *dims],
+                  ([name, *map(float, row)]
+                   for name, row in zip(dims, analysis_doc["correlation"])))
+        write_csv(paths.report_file("histograms.csv"),
+                  ("dimension", "value", "weight"),
+                  ((h["name"], float(v), float(w))
+                   for h in analysis_doc["histograms"]
+                   for v, w in zip(h["values"], h["weights"])))
 
         profile_file = qstar_doc.get("gain_profile_file")
         outputs = ["report/dispersion.csv", "report/correlation.csv",

@@ -28,6 +28,11 @@ TWO_PI = 2.0 * np.pi
 #: Relative tolerance on the stationarity residual |U'(phi_min)| / E_Js.
 _MIN_RESIDUAL_TOL = 1e-12
 
+#: Kerr-free bias search: uniform c4 scan points over (0, 0.5] Phi0, then
+#: bisection down to this bracket width in Phi0.
+_KERR_FREE_SCAN_POINTS = 2000
+_KERR_FREE_TOL = 1e-10
+
 
 class NoKerrFreePointError(RuntimeError):
     """No quartic-coefficient zero crossing exists in the scanned flux range."""
@@ -64,22 +69,18 @@ class SnailSpec:
     alpha is the ratio of small-junction to large-junction critical current
     (equivalently of areas at fixed current density), strictly inside (0, 1).
     flux_ext is the external flux through the loop in units of Phi0, in
-    [0, 1).  n_large is fixed at 3; the potential below hard-codes the
-    three-junction branch relation.
+    [0, 1).  The large-junction branch always has three junctions.
     """
 
     small_junction: JunctionSpec
     alpha: float
     flux_ext: float
-    n_large: int = 3
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 <= self.flux_ext < 1.0:
             raise ValueError(f"flux_ext must be in [0, 1) Phi0, got {self.flux_ext}")
-        if self.n_large != 3:
-            raise ValueError("only the three-large-junction loop is modeled")
 
     @property
     def small_energy(self) -> float:
@@ -247,8 +248,8 @@ def effective_inductance(expansion: PotentialExpansion) -> float:
 
 
 @functools.lru_cache(maxsize=1024)
-def _kerr_free_flux_normalized(alpha: float, scan_points: int, tol: float) -> float:
-    fluxes = np.linspace(0.0, 0.5, scan_points + 1)[1:]
+def _kerr_free_flux_normalized(alpha: float) -> float:
+    fluxes = np.linspace(0.0, 0.5, _KERR_FREE_SCAN_POINTS + 1)[1:]
     c4 = np.array([_expansion_normalized(alpha, f)[3] for f in fluxes])
 
     sign_change = np.nonzero(np.diff(np.sign(c4)) != 0)[0]
@@ -260,7 +261,7 @@ def _kerr_free_flux_normalized(alpha: float, scan_points: int, tol: float) -> fl
     lo, hi = float(fluxes[i]), float(fluxes[i + 1])
 
     f_lo = c4[i]
-    while hi - lo > tol:
+    while hi - lo > _KERR_FREE_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = _expansion_normalized(alpha, mid)[3]
         if f_mid == 0.0:
@@ -272,24 +273,18 @@ def _kerr_free_flux_normalized(alpha: float, scan_points: int, tol: float) -> fl
     return 0.5 * (lo + hi)
 
 
-def kerr_free_flux(
-    alpha: float,
-    junction: JunctionSpec,
-    scan_points: int = 2000,
-    tol: float = 1e-10,
-) -> float:
+def kerr_free_flux(alpha: float) -> float:
     """Smallest flux in (0, 0.5) Phi0 where the quartic coefficient vanishes.
 
-    Located by a uniform c4 scan followed by bisection down to ``tol`` Phi0.
-    The returned bias does not depend on the junction scale (c4 is
-    proportional to E_Js), but the junction argument keeps the call site
-    explicit about which device is being biased.  Raises
-    NoKerrFreePointError when no sign change exists for the given alpha.
+    Located by a uniform c4 scan over _KERR_FREE_SCAN_POINTS fluxes followed
+    by bisection down to _KERR_FREE_TOL Phi0, once per alpha.  Depends on
+    alpha alone: every coefficient is proportional to E_Js, so the junction
+    scale drops out.  Raises NoKerrFreePointError when no sign change exists
+    for the given alpha, or when the cubic coefficient vanishes there.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    critical_current(junction)  # validates the junction spec
-    flux = _kerr_free_flux_normalized(alpha, scan_points, tol)
+    flux = _kerr_free_flux_normalized(alpha)
 
     # The bias is only useful if three-wave mixing survives there.
     _, c2, c3, _ = _expansion_normalized(alpha, flux)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text, format_float
+from .fileio import write_csv
 from .metric import MetricBreakdown, MetricConfig, evaluate_metric
 from .network import (
     CellConfig,
@@ -32,7 +32,7 @@ from .network import (
     dispersion,
     simulate_linear,
 )
-from .snail import JunctionSpec, kerr_free_flux
+from .snail import kerr_free_flux
 
 #: Grid dimensions in canonical order; also the parameter column order of
 #: every artifact that carries device parameters.
@@ -301,20 +301,14 @@ def run_sweep(
     interrupted sweep resumes exactly where it stopped.
     """
     points = enumerate_grid(grid, sweep_cfg.cell_count)
-
-    flux_by_alpha: dict[float, float] = {}
-    for p in points:
-        if p.alpha not in flux_by_alpha:
-            flux_by_alpha[p.alpha] = kerr_free_flux(
-                p.alpha, JunctionSpec(p.junction_area, p.current_density)
-            )
+    fluxes = [kerr_free_flux(p.alpha) for p in points]
 
     done = load_checkpoint(checkpoint_path, points) if checkpoint_path else {}
     pending = [i for i in range(len(points)) if i not in done]
 
     records: dict[int, SweepRecord] = dict(done)
     tasks = (
-        (i, points[i], flux_by_alpha[points[i].alpha], sweep_cfg, metric_cfg)
+        (i, points[i], fluxes[i], sweep_cfg, metric_cfg)
         for i in pending
     )
     with contextlib.ExitStack() as stack:
@@ -335,7 +329,7 @@ def run_sweep(
             rec = SweepRecord(
                 index=index,
                 params=points[index],
-                flux_ext=flux_by_alpha[points[index].alpha],
+                flux_ext=fluxes[index],
                 breakdown=breakdown,
                 failed=breakdown is None,
                 error=err,
@@ -365,30 +359,20 @@ def params_as_row(p: DeviceParams) -> tuple[float, ...]:
 
 
 def write_records_csv(path, records: list[SweepRecord]):
-    """Stage-1 record table with the canonical column set."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        row = params_as_row(r.params)
+    """Stage-1 record table with the canonical column set.
+
+    A failed record carries inf in every metric column.
+    """
+
+    def row(r: SweepRecord):
+        *values, pitch = params_as_row(r.params)
         b = r.breakdown
-        fields = [
-            str(r.index),
-            format_float(row[0]),
-            format_float(row[1]),
-            format_float(row[2]),
-            format_float(row[3]),
-            format_float(row[4]),
-            format_float(row[5]),
-            str(int(row[6])),
-            format_float(r.flux_ext),
-            format_float(b.matching_term) if b else "inf",
-            format_float(b.phase_term) if b else "inf",
-            format_float(b.harmonic_term) if b else "inf",
-            format_float(b.total) if b else "inf",
-            "true" if r.failed else "false",
-            format_float(r.wall_time),
-        ]
-        lines.append(",".join(fields))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        terms = ((b.matching_term, b.phase_term, b.harmonic_term, b.total)
+                 if b is not None else (math.inf,) * 4)
+        return (r.index, *values, int(pitch), r.flux_ext, *terms, r.failed,
+                r.wall_time)
+
+    write_csv(path, CSV_COLUMNS, map(row, records))
 
 
 def read_records_csv(path):

@@ -45,8 +45,7 @@ def ref_device():
 
 @pytest.fixture(scope="session")
 def ref_flux(ref_device):
-    junction = JunctionSpec(ref_device.junction_area, ref_device.current_density)
-    return kerr_free_flux(ref_device.alpha, junction)
+    return kerr_free_flux(ref_device.alpha)
 
 
 @pytest.fixture(scope="session")

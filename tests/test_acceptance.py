@@ -157,7 +157,7 @@ def test_criterion_04_loop_potential_and_kerr_free_bias(capsys):
     worst_flux = 0.0
     in_window = True
     for alpha in (0.23, 0.25):
-        root = kerr_free_flux(alpha, JUNCTION)
+        root = kerr_free_flux(alpha)
         scan = kerr_free_flux_scan(alpha, n_flux=10000)
         in_window = in_window and 0.2 < root < 0.5
         worst_flux = max(worst_flux, abs(root - scan))

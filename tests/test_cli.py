@@ -7,7 +7,7 @@ from conftest import mini_config_doc
 
 from twpaopt.cli import WORKERS_ENV, main, resolve_workers
 from twpaopt.config import ConfigError, load_config, parse_config
-from twpaopt.pipeline import prepare_run_dir
+from twpaopt.pipeline import _resolve_stage3_flux, prepare_run_dir
 
 EXPECTED_FILES = (
     "config.json",
@@ -199,3 +199,22 @@ def test_optimize_budget_too_small_exits_2(mini_config, capsys):
     assert main(["optimize", "--config", str(config_path),
                  "--budget", "3"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_resolve_stage3_flux(tmp_path):
+    def cfg(mutual=None, **drive):
+        doc = mini_config_doc(tmp_path)
+        doc["drive"].update(drive)
+        if mutual is not None:
+            doc["cell"] = {"mutual_phi0_per_ua": mutual}
+        return parse_config(doc)
+
+    pstar = {"flux_ext_phi0": 0.38447551700472826}
+    explicit = cfg(mutual=0.0018, flux_phi0=0.38, flux_current_ua=212.0)
+    assert _resolve_stage3_flux(explicit, pstar) == 0.38
+    by_current = cfg(mutual=0.0018, flux_current_ua=212.0)
+    assert _resolve_stage3_flux(by_current, pstar) == pytest.approx(
+        0.3816, rel=1e-12)
+    with pytest.raises(ConfigError, match="mutual_phi0_per_ua"):
+        _resolve_stage3_flux(cfg(flux_current_ua=212.0), pstar)
+    assert _resolve_stage3_flux(cfg(), pstar) == pstar["flux_ext_phi0"]

@@ -1,5 +1,7 @@
 """Coupled-mode integration, closed-form gain, drive-point sweep."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,15 @@ def test_cme_accuracy_guard_fires_on_coarse_step():
     assert np.isfinite(traj.a_s[-1])
 
 
+@pytest.mark.parametrize("step", [25.0, 20.0, 0.0, -1.0])
+def test_cme_rejects_step_that_takes_no_rk4_step(step):
+    # n_cells 10: round(10 / 20) = round(0.5) = 0, so step 20 = 2 n_cells
+    # already gives zero steps; 0 and negative steps are never valid.
+    inputs = CmeInputs(k_s=0.4, k_i=0.5, k_p=1.0, g0=0.01, n_cells=10)
+    with pytest.raises(ValueError, match=re.escape(f"integration step {step!r}")):
+        integrate_cme(inputs, (1e-3, 0.0, 0.2), step=step)
+
+
 def test_cme_inputs_validation():
     with pytest.raises(ValueError):
         CmeInputs(k_s=0.5, k_i=0.5, k_p=1.0, g0=-0.1, n_cells=100)
@@ -152,16 +163,6 @@ def test_drive_spec_resolve_xi():
         strong.resolve_xi(0.441)
     with pytest.raises(ValueError):
         amp.resolve_xi(0.0)
-
-
-def test_drive_spec_resolve_flux():
-    spec = drive(flux_phi0=0.38)
-    assert spec.resolve_flux(None) == 0.38
-    by_current = drive(flux_current_ua=212.0)
-    assert by_current.resolve_flux(0.0018) == pytest.approx(0.3816, rel=1e-12)
-    with pytest.raises(ValueError):
-        by_current.resolve_flux(None)
-    assert drive().resolve_flux(None) is None
 
 
 def test_signal_idler_grid_counts():

@@ -28,7 +28,7 @@ from twpaopt.network import (
 )
 from twpaopt.config import load_config
 from twpaopt.constants import VACUUM_PERMITTIVITY
-from twpaopt.snail import JunctionSpec, kerr_free_flux
+from twpaopt.snail import kerr_free_flux
 from twpaopt.sweep import device_from_values, metric_frequency_grid
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
@@ -133,8 +133,7 @@ def test_cascade_matches_nodal_solver_at_band_edges(index):
     # S-parameters at both points.
     cfg = load_config(DESK_CONFIG)
     device = device_from_values(cfg.grid.point_values(index), cfg.cell_count)
-    flux = kerr_free_flux(
-        device.alpha, JunctionSpec(device.junction_area, device.current_density))
+    flux = kerr_free_flux(device.alpha)
     unloaded, loaded = build_cells(device, flux, cfg.cell)
     grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
     total = cascade(device, grid, (unloaded, loaded))

@@ -53,8 +53,6 @@ def test_junction_validation():
         SnailSpec(small_junction=JUNCTION, alpha=1.2, flux_ext=0.0)
     with pytest.raises(ValueError):
         SnailSpec(small_junction=JUNCTION, alpha=0.23, flux_ext=1.0)
-    with pytest.raises(ValueError):
-        SnailSpec(small_junction=JUNCTION, alpha=0.23, flux_ext=0.1, n_large=4)
 
 
 def test_potential_matches_normalized_form():
@@ -137,15 +135,15 @@ def test_effective_inductance_rejects_unstable_expansion():
 
 
 def test_kerr_free_flux_frozen_values():
-    assert kerr_free_flux(0.23, JUNCTION) == pytest.approx(
+    assert kerr_free_flux(0.23) == pytest.approx(
         0.38447551700472826, abs=1e-9)
-    assert kerr_free_flux(0.25, JUNCTION) == pytest.approx(
+    assert kerr_free_flux(0.25) == pytest.approx(
         0.3922943570911884, abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [0.23, 0.25])
 def test_kerr_free_flux_against_dense_scan(alpha):
-    flux = kerr_free_flux(alpha, JUNCTION)
+    flux = kerr_free_flux(alpha)
     assert 0.2 < flux < 0.5
     assert flux == pytest.approx(kerr_free_flux_scan(alpha, n_flux=4000),
                                  abs=1e-6)
@@ -153,7 +151,7 @@ def test_kerr_free_flux_against_dense_scan(alpha):
 
 @pytest.mark.parametrize("alpha", [0.23, 0.25])
 def test_quartic_coefficient_changes_sign_at_kerr_free_bias(alpha):
-    flux = kerr_free_flux(alpha, JUNCTION)
+    flux = kerr_free_flux(alpha)
     below = expand_potential(make_spec(alpha=alpha, flux=flux - 1e-3)).c4
     above = expand_potential(make_spec(alpha=alpha, flux=flux + 1e-3)).c4
     assert below * above < 0
@@ -164,7 +162,7 @@ def test_quartic_coefficient_changes_sign_at_kerr_free_bias(alpha):
 @given(alpha=st.floats(0.12, 0.30))
 @settings(max_examples=25, deadline=None)
 def test_kerr_free_flux_exists_with_live_cubic_term(alpha):
-    flux = kerr_free_flux(alpha, JUNCTION)
+    flux = kerr_free_flux(alpha)
     assert 0.0 < flux < 0.5
     exp = expand_potential(make_spec(alpha=alpha, flux=flux))
     assert exp.c2 > 0
@@ -173,15 +171,9 @@ def test_kerr_free_flux_exists_with_live_cubic_term(alpha):
 
 def test_kerr_free_flux_alpha_validation():
     with pytest.raises(ValueError):
-        kerr_free_flux(0.0, JUNCTION)
+        kerr_free_flux(0.0)
     with pytest.raises((ValueError, NoKerrFreePointError)):
-        kerr_free_flux(1.5, JUNCTION)
-
-
-def test_kerr_free_flux_is_junction_scale_independent():
-    small = kerr_free_flux(0.23, JunctionSpec(0.1, 0.5))
-    large = kerr_free_flux(0.23, JunctionSpec(0.6, 1.5))
-    assert small == large
+        kerr_free_flux(1.5)
 
 
 def test_frozen_cubic_quadratic_ratio(ref_expansion):
