@@ -7,8 +7,9 @@ expected-improvement BO with an anisotropic squared-exponential GP.
 
 Inputs are min-max normalized to the unit cube and targets are standardized
 log-metric values.  Hyperparameters maximize the log marginal likelihood by
-a bounded multi-start pattern search in log space; every random draw flows
-from one seed, so a run is exactly repeatable.
+a bounded multi-start pattern search in log space; the fit's random starts
+come from a fixed seed and every other draw from the run's seed, so a run is
+exactly repeatable.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class SearchSpace:
         for name, values in self.enumerated:
             if len(values) == 0:
                 raise ValueError(f"{name}: empty enumerated value list")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name}: duplicate enumerated values")
 
     @property
     def dim(self) -> int:
@@ -156,27 +159,6 @@ class GpModel:
         )
 
 
-def _neg_lml(x, y, offset, theta, d):
-    lengths = np.exp(theta[:d])
-    signal = math.exp(theta[d])
-    noise = math.exp(theta[d + 1])
-    n = x.shape[0]
-    k = kernel(x, x, signal, lengths)
-    for jitter_rel in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
-        try:
-            chol = np.linalg.cholesky(k + (noise + jitter_rel * signal) * np.eye(n))
-        except np.linalg.LinAlgError:
-            continue
-        resid = y - offset
-        alpha = cho_solve((chol, True), resid)
-        return float(
-            0.5 * resid @ alpha
-            + np.sum(np.log(np.diag(chol)))
-            + 0.5 * n * math.log(2.0 * math.pi)
-        )
-    return math.inf
-
-
 def _pattern_search(fun, theta0, lower, upper, max_evals):
     """Greedy coordinate pattern search with shrinking steps."""
     theta = np.clip(np.asarray(theta0, dtype=float), lower, upper)
@@ -201,7 +183,7 @@ def _pattern_search(fun, theta0, lower, upper, max_evals):
                     break
         if not improved:
             step *= 0.5
-    return theta, best, evals
+    return theta, best
 
 
 def fit_gp(
@@ -209,13 +191,15 @@ def fit_gp(
     targets,
     n_starts: int = FIT_STARTS,
     max_evals: int = FIT_MAX_EVALS,
-    seed: int = 0,
     init_theta=None,
 ) -> GpModel:
     """Fit hyperparameters by multi-start bounded pattern search on the LML.
 
-    ``init_theta`` (log-space [log lengths..., log signal, log noise]) warm
-    starts the first search, useful when refitting during optimization.
+    Each candidate theta is scored through ``GpModel.build``, so the fit and
+    the returned model share one factorization path; a theta whose
+    covariance fails every jitter level scores +inf.  ``init_theta``
+    (log-space [log lengths..., log signal, log noise]) warm starts the
+    first search, useful when refitting during optimization.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -224,7 +208,6 @@ def fit_gp(
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise ValueError("GP fit requires finite inputs and targets")
     d = x.shape[1]
-    offset = float(np.mean(y))
     var = max(float(np.var(y)), 1e-12)
 
     lower = np.concatenate((
@@ -241,7 +224,7 @@ def fit_gp(
         [math.log(max(1e-2 * var, 1e-9))],
     ))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = []
     if init_theta is not None:
         starts.append(np.asarray(init_theta, dtype=float))
@@ -253,21 +236,32 @@ def fit_gp(
     while len(starts) < n_starts:
         starts.append(rng.uniform(lower, upper))
 
-    fun = lambda theta: _neg_lml(x, y, offset, theta, d)
+    def neg_lml(theta):
+        try:
+            model = _build_at(x, y, theta)
+        except np.linalg.LinAlgError:
+            return math.inf
+        return -model.log_marginal_likelihood()
+
     best_theta, best_val = None, math.inf
     for theta0 in starts[:n_starts]:
-        theta, val, _ = _pattern_search(fun, theta0, lower, upper, max_evals)
+        theta, val = _pattern_search(neg_lml, theta0, lower, upper, max_evals)
         if val < best_val:
             best_theta, best_val = theta, val
     if best_theta is None or not np.isfinite(best_val):
         raise np.linalg.LinAlgError("no hyperparameter start produced a finite LML")
+    return _build_at(x, y, best_theta)
 
+
+def _build_at(x, y, theta) -> GpModel:
+    """GpModel at a log-space theta [log lengths..., log signal, log noise]."""
+    d = x.shape[1]
     return GpModel.build(
         x,
         y,
-        signal_variance=math.exp(best_theta[d]),
-        length_scales=np.exp(best_theta[:d]),
-        noise_variance=math.exp(best_theta[d + 1]),
+        signal_variance=math.exp(theta[d]),
+        length_scales=np.exp(theta[:d]),
+        noise_variance=math.exp(theta[d + 1]),
     )
 
 
@@ -352,7 +346,6 @@ class HistoryEntry:
     """One objective evaluation; warm-start rows carry iteration -1."""
 
     combo_id: int
-    combo: dict
     iteration: int
     params: dict
     metric: float
@@ -395,25 +388,29 @@ def optimize_metric(
     evaluations are required the budget must allow at least
     MIN_EVALS_PER_COMBO per enumeration combination.  Remaining budget is
     spread round-robin over combinations.  Objective failures are recorded
-    at a 10x-worst sentinel and do not stop the run.
+    at ten times the combination's worst usable value (1e31 before there is
+    one) and do not stop the run.  Warm-start rows whose enumerated values
+    match no combination are dropped.
     """
     warm = list(warm_start) if warm_start else []
     combos = space.combos()
     n_combos = len(combos)
 
-    def combo_key(params: dict, combo: dict) -> bool:
-        return all(params.get(k) == v for k, v in combo.items())
+    names = [n for n, _ in space.enumerated]
+    combo_ids = {tuple(c[n] for n in names): ci for ci, c in enumerate(combos)}
+    warm_by_combo = [[] for _ in combos]
+    for params, value in warm:
+        ci = combo_ids.get(tuple(params.get(n) for n in names))
+        if ci is not None:
+            warm_by_combo[ci].append((params, value))
 
     history: list[HistoryEntry] = []
     combo_data = []  # (xs list, ys list) raw metric space
-    for ci, combo in enumerate(combos):
+    for ci, rows in enumerate(warm_by_combo):
         xs, ys = [], []
-        for params, value in warm:
-            if not combo_key(params, combo):
-                continue
+        for params, value in rows:
             entry = HistoryEntry(
                 combo_id=ci,
-                combo=combo,
                 iteration=-1,
                 params=dict(params),
                 metric=float(value),
@@ -474,11 +471,14 @@ def _optimize_combo(space, objective, combo, ci, data, alloc, rng, history):
     xs, ys = data
     xs = [np.asarray(x) for x in xs]
     used = 0
-    iteration = 0
+    # Worst usable value so far (0.0 while there is none).  Failure
+    # sentinels scale this, never an earlier sentinel, so they cannot
+    # compound towards overflow.
+    worst = max(ys, default=0.0)
     prev_theta = None
 
     def evaluate(x_norm):
-        nonlocal used, iteration
+        nonlocal used, worst
         params = space.denormalize(x_norm)
         params.update(combo)
         flagged = False
@@ -486,15 +486,14 @@ def _optimize_combo(space, objective, combo, ci, data, alloc, rng, history):
             value = float(objective(params))
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"objective returned unusable value {value}")
+            worst = max(worst, value)
         except Exception:
-            worst = max(ys) if ys else 1e30
-            value = 10.0 * worst
+            value = 10.0 * worst if worst > 0 else 1e31
             flagged = True
         incumbent = not ys or value < min(ys)
         history.append(HistoryEntry(
             combo_id=ci,
-            combo=combo,
-            iteration=iteration,
+            iteration=used,
             params=params,
             metric=value,
             is_incumbent=incumbent,
@@ -503,7 +502,6 @@ def _optimize_combo(space, objective, combo, ci, data, alloc, rng, history):
         xs.append(np.asarray(x_norm, dtype=float))
         ys.append(value)
         used += 1
-        iteration += 1
 
     if len(ys) == 0:
         for x0 in latin_hypercube(rng, min(8, alloc), space.dim):
@@ -517,30 +515,24 @@ def _optimize_combo(space, objective, combo, ci, data, alloc, rng, history):
     # full multi-start fit happens only up front and every FULL_REFIT_EVERY
     # points, a cheap warm-started search every REFIT_EVERY points, and in
     # between the factorization is rebuilt with frozen hyperparameters.
-    d = space.dim
     while used < alloc:
         y_std = _standardize(np.log(np.asarray(ys)))
         x_arr = np.vstack(xs)
         n = len(ys)
         try:
             if prev_theta is None or n % FULL_REFIT_EVERY == 0:
-                model = fit_gp(x_arr, y_std, n_starts=FIT_STARTS, seed=0,
+                model = fit_gp(x_arr, y_std, n_starts=FIT_STARTS,
                                init_theta=prev_theta)
                 prev_theta = fitted_theta(model)
             elif n % REFIT_EVERY == 0:
                 model = fit_gp(x_arr, y_std, n_starts=1,
-                               max_evals=WARM_FIT_EVALS, seed=0,
+                               max_evals=WARM_FIT_EVALS,
                                init_theta=prev_theta)
                 prev_theta = fitted_theta(model)
             else:
-                model = GpModel.build(
-                    x_arr, y_std,
-                    signal_variance=math.exp(prev_theta[d]),
-                    length_scales=np.exp(prev_theta[:d]),
-                    noise_variance=math.exp(prev_theta[d + 1]),
-                )
+                model = _build_at(x_arr, y_std, prev_theta)
         except np.linalg.LinAlgError:
-            model = fit_gp(x_arr, y_std, n_starts=FIT_STARTS, seed=0)
+            model = fit_gp(x_arr, y_std, n_starts=FIT_STARTS)
             prev_theta = fitted_theta(model)
         evaluate(propose_next(model, rng))
     return used

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import band_average
-from .network import DispersionCurve
+from .network import DispersionCurve, FrequencyGrid
 from .snail import PotentialExpansion
 
 RK4_STEP = 0.05
@@ -336,8 +336,7 @@ def integrate_cme(
 
 def signal_idler_grid(drive: DriveSpec) -> np.ndarray:
     lo, hi = drive.signal_band
-    n = int(np.floor((hi - lo) / drive.signal_step + 1e-9)) + 1
-    return lo + drive.signal_step * np.arange(n)
+    return FrequencyGrid(lo, hi, drive.signal_step).freqs()
 
 
 def _gain_profiles(disp, expansion, template, n_cells, xis):

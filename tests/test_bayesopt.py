@@ -121,7 +121,7 @@ def test_fit_gp_requires_clean_inputs():
 
 def test_fit_gp_caps_noise_on_deterministic_targets():
     x, y = training_set(n=30)
-    model = fit_gp(x, y, seed=0)
+    model = fit_gp(x, y)
     var = float(np.var(y))
     assert model.noise_variance <= 1e-2 * var * (1.0 + 1e-9)
     # The fitted model should reproduce smooth deterministic data closely.
@@ -131,7 +131,7 @@ def test_fit_gp_caps_noise_on_deterministic_targets():
 
 def test_fit_gp_warm_start_and_theta_round_trip():
     x, y = training_set()
-    model = fit_gp(x, y, seed=0)
+    model = fit_gp(x, y)
     theta = fitted_theta(model)
     rebuilt = GpModel.build(
         x, y,
@@ -141,7 +141,7 @@ def test_fit_gp_warm_start_and_theta_round_trip():
     )
     assert rebuilt.log_marginal_likelihood() == pytest.approx(
         model.log_marginal_likelihood(), rel=1e-12)
-    warm = fit_gp(x, y, n_starts=1, max_evals=40, seed=0, init_theta=theta)
+    warm = fit_gp(x, y, n_starts=1, max_evals=40, init_theta=theta)
     assert warm.log_marginal_likelihood() >= model.log_marginal_likelihood() - 1e-9
 
 
@@ -151,7 +151,7 @@ def test_noisy_duplicates_push_noise_up():
     x = np.repeat(np.linspace(0.1, 0.9, 8), 2)[:, None]
     rng = np.random.default_rng(4)
     y = np.sin(2.0 * x[:, 0]) + rng.normal(0.0, 0.2, size=16)
-    model = fit_gp(x, y, seed=0)
+    model = fit_gp(x, y)
     assert model.noise_variance > 1e-4
 
 
@@ -291,3 +291,60 @@ def test_history_entry_incumbent_tracking():
         if entry.metric < best_so_far:
             assert entry.is_incumbent
             best_so_far = entry.metric
+
+
+def test_search_space_rejects_duplicate_enumerated_values():
+    # Each enumerated combination must be distinct, so that a warm-start row
+    # maps to exactly one of them.
+    with pytest.raises(ValueError):
+        SearchSpace(continuous=(("x", 0.0, 1.0),),
+                    enumerated=(("pitch", (2.0, 3.0, 2.0)),))
+
+
+def test_warm_start_grouped_by_combination():
+    space = SearchSpace(
+        continuous=(("x", 0.0, 1.0),),
+        enumerated=(("mode", (0.0, 1.0)),),
+    )
+    warm = [
+        ({"x": 0.1, "mode": 1.0}, 4.0),
+        ({"x": 0.2, "mode": 0.0}, 3.0),
+        ({"x": 0.3, "mode": 2.0}, 0.5),  # matches no combination
+        ({"x": 0.4, "mode": 1.0}, 2.0),
+        ({"x": 0.5, "mode": 0.0}, 5.0),
+        ({"x": 0.6, "mode": 0.0}, 1.0),
+        ({"x": 0.7, "mode": 1.0}, 6.0),
+    ]
+    result = optimize_metric(space, lambda p: 1.0, budget=len(warm), seed=0,
+                             warm_start=warm)
+    assert result.new_evaluations == 0
+    # Combination 0's rows, then combination 1's, each in input order.
+    assert [(h.combo_id, h.params["x"]) for h in result.history] == [
+        (0, 0.2), (0, 0.5), (0, 0.6), (1, 0.1), (1, 0.4), (1, 0.7)]
+    assert [h.is_incumbent for h in result.history] == [
+        True, False, True, True, True, False]
+    assert all(h.iteration == -1 for h in result.history)
+    # The unmatched row (the lowest metric) is dropped.
+    assert result.best_metric == 1.0
+    assert result.best_params == {"x": 0.6, "mode": 0.0}
+
+
+def test_failure_sentinel_does_not_compound():
+    # A failure is recorded at ten times the worst usable value, never at
+    # ten times an earlier sentinel, so a run of failures stays finite.
+    space = SearchSpace(continuous=(("x", 0.0, 1.0),))
+
+    def broken(params):
+        raise RuntimeError("simulation failed")
+
+    warm = [({"x": 0.1}, 1e300), ({"x": 0.9}, 1.0)]
+    result = optimize_metric(space, broken, budget=14, seed=0,
+                             warm_start=warm)
+    new = [h for h in result.history if h.iteration >= 0]
+    assert result.new_evaluations == len(new) == 12
+    assert all(h.flagged and h.metric == 10.0 * 1e300 for h in new)
+    assert result.best_metric == 1.0
+
+    # Without any usable value the sentinel is 1e31 throughout.
+    cold = optimize_metric(space, broken, budget=12, seed=0)
+    assert all(h.flagged and h.metric == 1e31 for h in cold.history)
