@@ -11,6 +11,16 @@ pump input A_p(0) = xi, the pump current in units of twice the small
 junction critical current.  The coupling g0 comes from the cubic/quadratic
 coefficient ratio of the biased loop potential.
 
+Gain profiles are computed in closed form first.  With the pump held at
+its input the signal power gain is |cosh(g x) + (i dk / 2 g) sinh(g x)|^2
+with g = sqrt(g0^2 - (dk/2)^2), continued to oscillatory behavior when the
+mismatch dominates.  The signal is seeded at SEED_RATIO of the pump, so by
+Manley-Rowe (|A_s|^2 + |A_p|^2 is conserved) the pump gives up
+SEED_RATIO^2 (G - 1) of its power, and the closed form's relative gain
+error is about 0.5-0.6 times that depletion.  Only the columns -- each
+(amplitude, tone) pair -- whose predicted depletion exceeds HALVING_TOL
+are integrated, so every column meets the same tolerance.
+
 Integration is fixed-step RK4 in the pump frame B_p = A_p exp(-i dk x):
 
     dA_s/dx = i kappa B_p conj(A_i)
@@ -21,18 +31,13 @@ which has no explicit x, so no phase factor is evaluated per step; B_p is
 rotated back by exp(i dk x) where amplitudes are returned.  A zero pump
 stays exactly zero in this frame and the signal is left untouched.
 
-Every independent column -- each signal tone, and in a drive sweep each
-(amplitude, tone) pair -- integrates in one loop together with its
-step-halving copy: per step the copies take their first h/2 step in the
-same array operations as the h step of the originals, then their second
-h/2 step alone.  The two runs must agree component by component to
-HALVING_TOL relative, each amplitude on its own scale, so error in the
-small signal is not hidden behind the pump.  The conserved Manley-Rowe
-combinations |A_s|^2 - |A_i|^2 and |A_s|^2 + |A_p|^2 also check accuracy.
-In the undepleted-pump limit the signal power gain has the
-closed form |cosh(g x) + (i dk / 2 g) sinh(g x)|^2 with
-g = sqrt(g0^2 - (dk/2)^2), continued to oscillatory behavior when the
-mismatch dominates.
+Every integrated column runs in one loop together with its step-halving
+copy: per step the copies take their first h/2 step in the same array
+operations as the h step of the originals, then their second h/2 step
+alone.  The two runs must agree component by component to HALVING_TOL
+relative, each amplitude on its own scale, so error in the small signal is
+not hidden behind the pump.  The conserved Manley-Rowe combinations
+|A_s|^2 - |A_i|^2 and |A_s|^2 + |A_p|^2 also check accuracy.
 """
 
 from __future__ import annotations
@@ -173,23 +178,28 @@ def coupling_constant(
     return abs(expansion.c3) / (2.0 * expansion.c2) * xi * np.sqrt(k_s * k_i)
 
 
-def undepleted_gain(g0: float, delta_k: float, n_cells: int) -> float:
+def undepleted_gain(g0, delta_k, n_cells: int):
     """Closed-form undepleted-pump signal power gain over n_cells.
 
     Uses the complex square root, so the exponential branch
     (g0 > |dk|/2) and the oscillatory branch continue into each other.
+    ``g0`` and ``delta_k`` broadcast against each other; scalars give a
+    float, arrays an array of the broadcast shape.
     """
     if n_cells <= 0:
         raise ValueError("cell count must be positive")
-    g = np.sqrt(complex(g0 * g0 - 0.25 * delta_k * delta_k))
+    g0 = np.asarray(g0, dtype=float)
+    delta_k = np.asarray(delta_k, dtype=float)
+    g = np.sqrt((g0 * g0 - 0.25 * delta_k * delta_k).astype(complex))
     x = float(n_cells)
     gx = g * x
-    if abs(gx) < 1e-8:
-        sinhc = x * (1.0 + gx * gx / 6.0)  # sinh(g x)/g as g -> 0
-    else:
-        sinhc = np.sinh(gx) / g
+    near_zero = np.abs(gx) < 1e-8
+    # sinh(g x)/g, with its series x (1 + (g x)^2 / 6) as g -> 0.
+    sinhc = np.where(near_zero, x * (1.0 + gx * gx / 6.0),
+                     np.sinh(gx) / np.where(near_zero, 1.0, g))
     value = np.cosh(gx) + 0.5j * delta_k * sinhc
-    return float(np.abs(value) ** 2)
+    gain = value.real * value.real + value.imag * value.imag
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def _rhs(y, ck, cd, out, tmp):
@@ -342,10 +352,15 @@ def signal_idler_grid(drive: DriveSpec) -> np.ndarray:
 def _gain_profiles(disp, expansion, template, n_cells, xis):
     """Gain profile, or the AccuracyError that rejects it, for each xi.
 
-    Tones come from ``template`` (its own pump strength is not used).  Every
-    (xi > 0, tone) pair is one column of a single _integrate call, seeded at
-    SEED_RATIO * xi with the idler empty; xi == 0 is the flat zero profile.
-    The step-halving guard applies to each xi separately.
+    Tones come from ``template`` (its own pump strength is not used); xi == 0
+    is the flat zero profile.  Every (xi > 0, tone) column first gets the
+    undepleted closed form G, with the signal seeded at SEED_RATIO * xi and
+    the idler empty, so by Manley-Rowe the pump loses
+    SEED_RATIO^2 (G - 1) of its power.  Only columns whose predicted
+    depletion exceeds HALVING_TOL -- where the closed form stops being
+    accurate to that tolerance -- integrate, as columns of one _integrate
+    call; the step-halving guard applies to each xi over its integrated
+    columns.
     """
     f_s = signal_idler_grid(template)
     f_i = template.pump_freq - f_s
@@ -361,24 +376,29 @@ def _gain_profiles(disp, expansion, template, n_cells, xis):
     if not driven:
         return [flat for _ in xis]
 
-    kappa = np.concatenate(
-        [coupling_constant(expansion, xi, k_s, k_i) / xi for xi in driven]
-    )
-    pump = np.repeat(driven, f_s.size)
-    seed = SEED_RATIO * pump
-    a0 = np.zeros((3, pump.size), dtype=complex)
-    a0[0] = seed
-    a0[2] = pump
-    final, final_half = _integrate(
-        a0, kappa, np.tile(k_p - k_s - k_i, len(driven)), n_cells, RK4_STEP
-    )
-
-    shape = (len(driven), f_s.size)
-    err = _halving_error(final, final_half).reshape(shape).max(axis=1)
-    gain_db = (10.0 * np.log10(np.abs(final[0] / seed) ** 2)).reshape(shape)
-    depletion = np.maximum(1.0 - np.abs(final[2] / pump) ** 2, 0.0)
-    depletion = depletion.reshape(shape)
-    solved = iter(zip(err, gain_db, depletion))
+    g0 = np.array([coupling_constant(expansion, xi, k_s, k_i)
+                   for xi in driven])
+    delta_k = np.broadcast_to(k_p - k_s - k_i, g0.shape)
+    # Past g x ~ 710 the closed form overflows to inf or NaN; such a column
+    # is far into depletion, and the negated test sends it to the RK4 too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = undepleted_gain(g0, delta_k, n_cells)
+    err = np.zeros_like(gain)
+    depleted = ~(SEED_RATIO**2 * (gain - 1.0) <= HALVING_TOL)
+    if np.any(depleted):
+        pump = np.broadcast_to(np.array(driven)[:, None], g0.shape)[depleted]
+        seed = SEED_RATIO * pump
+        a0 = np.zeros((3, pump.size), dtype=complex)
+        a0[0] = seed
+        a0[2] = pump
+        final, final_half = _integrate(
+            a0, g0[depleted] / pump, delta_k[depleted], n_cells, RK4_STEP
+        )
+        err[depleted] = _halving_error(final, final_half)
+        gain[depleted] = np.abs(final[0] / seed) ** 2
+    gain_db = 10.0 * np.log10(gain)
+    depletion = np.maximum(SEED_RATIO**2 * (gain - 1.0), 0.0)
+    solved = iter(zip(err.max(axis=1), gain_db, depletion))
     out = []
     for xi in xis:
         if xi == 0.0:
@@ -399,8 +419,9 @@ def gain_profile(
 ) -> GainProfile:
     """Signal gain across the band, idler at f_p - f_s, seeded from vacuum scale.
 
-    All signal frequencies integrate as columns of one RK4 loop (per-column
-    phase mismatch) together with their half-step verification columns.
+    Each signal frequency takes the undepleted closed form unless its
+    predicted pump depletion exceeds HALVING_TOL; those integrate as
+    columns of one RK4 loop with their half-step verification columns.
     """
     xi = drive.resolve_xi(i_c_small_ua)
     [profile] = _gain_profiles(disp, expansion, drive, n_cells, [xi])
@@ -427,9 +448,10 @@ def optimize_working_point(
 ) -> WorkingPointResult:
     """Exhaustive pump-amplitude sweep at fixed flux bias.
 
-    Every amplitude is resolved first, then all of them integrate as one
-    batch.  Scores each amplitude by band-mean gain; ties resolve to the
-    first listed amplitude.  Per-point failures (an amplitude outside the
+    Every amplitude is resolved first, then all of them are evaluated as
+    one batch (closed form, RK4 for the columns that deplete the pump).
+    Scores each amplitude by band-mean gain; ties resolve to the first
+    listed amplitude.  Per-point failures (an amplitude outside the
     drive range, a step-halving rejection) are recorded with -inf
     performance and skipped; if every point fails the sweep itself raises.
     ``flux_phi0`` is the bias ``expansion`` was taken at; it only fills the

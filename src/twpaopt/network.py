@@ -199,10 +199,6 @@ class CascadedAbcd:
     matrices: np.ndarray
     log_scale: np.ndarray
 
-    def plain(self) -> np.ndarray:
-        """Reconstruct unscaled matrices (may overflow deep in a stopband)."""
-        return self.matrices * np.exp(self.log_scale)[:, None, None]
-
 
 def gate_capacitance(thickness_nm: float, cfg: CellConfig) -> float:
     """Parallel-plate gate capacitance in F for a dielectric thickness in nm."""
@@ -259,18 +255,6 @@ def cell_abcd(cell: CellImmittance, freq) -> np.ndarray:
     out[:, 1, 0] = 1j * wc
     out[:, 1, 1] = 1.0
     return out[0] if scalar else out
-
-
-def chain_abcd(cells, freqs) -> np.ndarray:
-    """Plain ordered product of cell matrices (input cell leftmost).
-
-    Reference path for small chains; no overflow handling.
-    """
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    total = np.broadcast_to(np.eye(2, dtype=complex), (freqs.size, 2, 2)).copy()
-    for cell in cells:
-        total = total @ cell_abcd(cell, freqs)
-    return total
 
 
 #: Stopband growth n Re(t) above which cascade() moves exp((n-1) Re t) into

@@ -3,9 +3,10 @@
 Everything here deliberately uses a different algorithm than the code under
 test: nodal admittance instead of chain matrices, matrix exponentials
 instead of hyperbolic closed forms, Jacobi elliptic functions instead of
-time stepping, finite differences instead of analytic
-derivatives, dense scans plus warm-started Newton instead of bracketed root
-finding, and plain dense linear algebra instead of cached Cholesky factors.
+time stepping, ordered chain products instead of the Chebyshev closed
+form, finite differences instead of analytic derivatives, dense scans plus
+warm-started Newton instead of bracketed root finding, and plain dense
+linear algebra instead of cached Cholesky factors.
 Slow and simple on purpose.
 """
 
@@ -17,6 +18,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import ellipj
+
+from twpaopt.network import cell_abcd
 
 
 def nodal_ladder_sparams(series_l, shunt_c, freqs, z0):
@@ -64,6 +67,23 @@ def nodal_ladder_sparams(series_l, shunt_c, freqs, z0):
         out[fi, 1, 1] = v[n] - 1.0   # S22
         out[fi, 0, 1] = v[0]         # S12
     return out
+
+
+def chain_abcd(cells, freqs):
+    """Plain ordered product of cell matrices (input cell leftmost).
+
+    Reference path for small chains; no overflow handling.
+    """
+    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
+    total = np.broadcast_to(np.eye(2, dtype=complex), (freqs.size, 2, 2)).copy()
+    for cell in cells:
+        total = total @ cell_abcd(cell, freqs)
+    return total
+
+
+def plain_abcd(total):
+    """Unscaled matrices of a ``CascadedAbcd`` (may overflow deep in a stopband)."""
+    return total.matrices * np.exp(total.log_scale)[:, None, None]
 
 
 def periodic_cell_sequence(unloaded, loaded, pitch, n_cells):

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import REF_BAND, REF_PUMP
-from oracles import kerr_free_flux_scan, nodal_ladder_sparams
+from oracles import chain_abcd, kerr_free_flux_scan, nodal_ladder_sparams
 
 from twpaopt.bayesopt import GpModel, SearchSpace, optimize_metric, posterior
 from twpaopt.config import load_config
@@ -38,7 +38,6 @@ from twpaopt.network import (
     TwoPortResponse,
     abcd_to_s,
     cascade,
-    chain_abcd,
     dispersion,
     simulate_linear,
 )

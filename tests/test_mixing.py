@@ -21,6 +21,7 @@ from twpaopt.mixing import (
     signal_idler_grid,
     undepleted_gain,
 )
+from twpaopt.snail import PotentialExpansion
 
 BAND = (4.75e9, 6.75e9)
 PUMP = 11.5e9
@@ -30,6 +31,20 @@ def drive(step=0.25e9, **kwargs):
     kwargs.setdefault("xi", 0.2)
     return DriveSpec(pump_freq=PUMP, signal_band=BAND, signal_step=step,
                      **kwargs)
+
+
+def band_wavenumbers(disp, freqs):
+    """(k_s, k_i, k_p) of signal tones ``freqs`` against the test pump."""
+    return disp.sample(freqs), disp.sample(PUMP - freqs), float(
+        disp.sample(PUMP))
+
+
+def predicted_depletion(disp, expansion, xi, freqs, n_cells=360):
+    """Manley-Rowe pump depletion of the undepleted closed form per tone."""
+    k_s, k_i, k_p = band_wavenumbers(disp, freqs)
+    gain = undepleted_gain(coupling_constant(expansion, xi, k_s, k_i),
+                           k_p - k_s - k_i, n_cells)
+    return mixing.SEED_RATIO**2 * (gain - 1.0)
 
 
 def cme_case(g0_total, dk_total, n_cells=360, xi=0.2, seed_ratio=1e-6):
@@ -59,6 +74,31 @@ def test_undepleted_gain_limits():
         np.cosh(3.0) ** 2, rel=1e-12)
     with pytest.raises(ValueError):
         undepleted_gain(0.01, 0.0, 0)
+
+
+def test_undepleted_gain_array_matches_scalar_calls():
+    n = 360
+    dk = np.array([0.0, 4.0, 8.0, -4.0, 12.0, 3.0]) / n
+    # Column 3 sits exactly on g0 = |dk|/2, where g = 0.
+    g0 = np.array([6.0, 6.0, 3.0, 2.0, 0.5, 0.0]) / n
+    assert 0.5 * abs(dk[3]) == g0[3]
+    got = undepleted_gain(g0, dk, n)
+    assert isinstance(got, np.ndarray) and got.shape == (6,)
+    expected = [undepleted_gain(float(a), float(b), n)
+                for a, b in zip(g0, dk)]
+    np.testing.assert_array_equal(got, expected)
+    # Broadcasting: one row of couplings against a column of mismatches.
+    grid = undepleted_gain(g0[None, :], dk[:, None], n)
+    assert grid.shape == (6, 6)
+    assert grid[2, 3] == undepleted_gain(float(g0[3]), float(dk[2]), n)
+    # On g = 0 the gain is 1 + (g0 N)^2, the limit of both branches.
+    assert got[3] == pytest.approx(1.0 + (g0[3] * n) ** 2, rel=1e-12)
+    scalar = undepleted_gain(0.01, 0.02, 100)
+    assert type(scalar) is float
+    assert scalar == pytest.approx(2.0, rel=1e-12)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            undepleted_gain(g0, dk, bad)
 
 
 @pytest.mark.parametrize("dk_branch", [0.0, 2.0, 10.0])
@@ -182,13 +222,102 @@ def test_coupling_constant_frozen_value(ref_expansion):
 
 def test_gain_profile_halving_guard_is_per_component(
         ref_dispersion, ref_expansion, monkeypatch):
+    spec = drive(step=0.05e9, xi=0.499)
+    # Every column depletes the pump past the bound, so the whole profile
+    # goes through the RK4 and its guard rather than the closed form.
+    depletion = predicted_depletion(ref_dispersion, ref_expansion, 0.499,
+                                    signal_idler_grid(spec))
+    assert np.all(depletion > mixing.HALVING_TOL)
     # At a 4-cell step the signal is off by ~1e-5 relative while the pump,
     # the largest amplitude in each column, agrees to ~4e-7.
     monkeypatch.setattr(mixing, "RK4_STEP", 4.0)
     with pytest.raises(AccuracyError):
-        gain_profile(ref_dispersion, ref_expansion,
-                     drive(step=0.05e9, xi=0.499),
+        gain_profile(ref_dispersion, ref_expansion, spec,
                      n_cells=360, i_c_small_ua=0.441)
+
+
+@pytest.mark.parametrize("xi", [0.125, 0.16, 0.1875])
+def test_gain_profile_closed_form_matches_rk4_per_column(
+        ref_dispersion, ref_expansion, xi):
+    profile = gain_profile(ref_dispersion, ref_expansion,
+                           drive(step=0.05e9, xi=xi),
+                           n_cells=360, i_c_small_ua=0.441)
+    assert np.all(predicted_depletion(ref_dispersion, ref_expansion, xi,
+                                      profile.freqs) <= mixing.HALVING_TOL)
+    k_s, k_i, k_p = band_wavenumbers(ref_dispersion, profile.freqs)
+    seed = mixing.SEED_RATIO * xi
+    a0 = np.zeros((3, profile.freqs.size), dtype=complex)
+    a0[0] = seed
+    a0[2] = xi
+    kappa = coupling_constant(ref_expansion, xi, k_s, k_i) / xi
+    final, _ = mixing._integrate(a0, kappa, k_p - k_s - k_i, 360,
+                                 mixing.RK4_STEP)
+    rk4_db = 10.0 * np.log10(np.abs(final[0] / seed) ** 2)
+    np.testing.assert_allclose(profile.gain_db, rk4_db, rtol=0.0, atol=1e-8)
+
+
+def test_gain_profile_integrates_columns_whose_closed_form_overflows(
+        ref_dispersion):
+    # c3 / 2 c2 = 50 puts g0 N past 710 at 72 cells: the closed form is
+    # inf or NaN there, and the RK4 guard, not a NaN profile, has the say.
+    strong = PotentialExpansion(phi_min=0.0, c2=1.0, c3=100.0, c4=0.0)
+    spec = drive(step=0.5e9, xi=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        depletion = predicted_depletion(ref_dispersion, strong, 0.5,
+                                        signal_idler_grid(spec), n_cells=72)
+    assert not np.any(np.isfinite(depletion))
+    with pytest.raises(AccuracyError):
+        gain_profile(ref_dispersion, strong, spec, n_cells=72,
+                     i_c_small_ua=0.441)
+
+
+def assert_manley_rowe_depletion(profile):
+    # Floored at zero for a closed-form gain that rounds below 1.
+    expected = mixing.SEED_RATIO**2 * (10.0 ** (profile.gain_db / 10.0) - 1.0)
+    np.testing.assert_allclose(profile.pump_depletion, expected, rtol=1e-9,
+                               atol=1e-24)
+
+
+def test_gain_profile_depletion_is_manley_rowe(ref_profile):
+    assert_manley_rowe_depletion(ref_profile)
+    assert np.all(ref_profile.pump_depletion > 0.0)
+
+
+def test_optimize_working_point_integrates_only_depleted_columns(
+        ref_dispersion, ref_expansion, monkeypatch):
+    calls = []
+    integrate = mixing._integrate
+
+    def spy(a0, kappa, delta_k, n_cells, step, keep_path=False):
+        result = integrate(a0, kappa, delta_k, n_cells, step, keep_path)
+        calls.append((np.array(a0), result[0].copy()))
+        return result
+
+    monkeypatch.setattr(mixing, "_integrate", spy)
+    i_c = 0.441
+    amps = [0.1, 2.0 * i_c * 0.499]
+    template = drive(step=0.05e9, pump_amplitude_ua=amps[0], xi=None)
+    result = optimize_working_point(
+        ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=i_c,
+        drive_template=template, pump_amplitudes_ua=amps,
+        flux_phi0=0.38447551700472826)
+    shallow, deep = result.profiles
+    xi_shallow, xi_deep = (amp / (2.0 * i_c) for amp in amps)
+    freqs = signal_idler_grid(template)
+    assert np.all(predicted_depletion(ref_dispersion, ref_expansion,
+                                      xi_shallow, freqs) <= mixing.HALVING_TOL)
+    assert np.all(predicted_depletion(ref_dispersion, ref_expansion,
+                                      xi_deep, freqs) > mixing.HALVING_TOL)
+
+    [(a0, final)] = calls
+    assert a0.shape == (3, freqs.size)
+    np.testing.assert_array_equal(a0[2], xi_deep)
+    np.testing.assert_array_equal(a0[0], mixing.SEED_RATIO * xi_deep)
+    np.testing.assert_array_equal(
+        deep.gain_db, 10.0 * np.log10(np.abs(final[0] / a0[0]) ** 2))
+    for profile in (shallow, deep):
+        assert_manley_rowe_depletion(profile)
+    assert result.best["pump_amplitude_ua"] == amps[1]
 
 
 def test_gain_profile_zero_pump_is_flat_zero(ref_dispersion, ref_expansion):
