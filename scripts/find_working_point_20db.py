@@ -92,12 +92,12 @@ def main(argv=None):
         SnailSpec(small_junction=junction, alpha=device.alpha, flux_ext=flux))
     print(f"I_c {i_c:.4g} uA, Kerr-free flux {flux:.6f} Phi_0")
 
+    drive = DriveSpec(pump_freq=pump, signal_band=band,
+                      signal_step=args.signal_step_ghz * 1e9)
+
     def band_gain(xi):
-        profile = gain_profile(
-            disp, expansion,
-            DriveSpec(pump_freq=pump, signal_band=band,
-                      signal_step=args.signal_step_ghz * 1e9, xi=xi),
-            n_cells=device.cell_count, i_c_small_ua=i_c)
+        profile = gain_profile(disp, expansion, drive,
+                               n_cells=device.cell_count, xi=xi)
         return performance(profile), profile
 
     lo, hi = 1e-3, 0.499

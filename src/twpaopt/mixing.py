@@ -18,8 +18,11 @@ mismatch dominates.  The signal is seeded at SEED_RATIO of the pump, so by
 Manley-Rowe (|A_s|^2 + |A_p|^2 is conserved) the pump gives up
 SEED_RATIO^2 (G - 1) of its power, and the closed form's relative gain
 error is about 0.5-0.6 times that depletion.  Only the columns -- each
-(amplitude, tone) pair -- whose predicted depletion exceeds HALVING_TOL
-are integrated, so every column meets the same tolerance.
+(xi, tone) pair -- whose predicted depletion exceeds HALVING_TOL are
+integrated, so every column meets the same tolerance.  xi is the one drive
+variable: ``gain_profile`` takes it directly, and ``optimize_working_point``
+turns a list of pump currents into one xi array and returns the index of
+the best.
 
 Integration is fixed-step RK4 in the pump frame B_p = A_p exp(-i dk x):
 
@@ -62,20 +65,18 @@ class AccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Pump and signal drive settings.
+    """Pump and signal tones of a drive.
 
     pump_freq in Hz; signal_band (lo, hi) in Hz with signal_step the gain
-    grid spacing.  The pump strength is either ``xi`` directly (pump current
-    over twice the small-junction critical current) or ``pump_amplitude_ua``
-    in uA, resolved against the device.  The flux bias is not part of the
-    drive: it is fixed by the expansion the gain is computed from.
+    grid spacing.  The pump strength is not part of the spec: every gain
+    call takes it as xi, the pump current over twice the small-junction
+    critical current.  The flux bias is fixed by the expansion the gain is
+    computed from.
     """
 
     pump_freq: float
     signal_band: tuple[float, float]
     signal_step: float
-    pump_amplitude_ua: float | None = None
-    xi: float | None = None
 
     def __post_init__(self):
         if not self.pump_freq > 0:
@@ -87,20 +88,6 @@ class DriveSpec:
             )
         if not self.signal_step > 0:
             raise ValueError("signal grid step must be positive")
-        if self.xi is None and self.pump_amplitude_ua is None:
-            raise ValueError("either xi or pump_amplitude_ua must be given")
-
-    def resolve_xi(self, i_c_small_ua: float) -> float:
-        """Normalized pump amplitude; xi = I_p / (2 I_c,small) when in uA."""
-        if self.xi is not None:
-            xi = float(self.xi)
-        else:
-            if not i_c_small_ua > 0:
-                raise ValueError("critical current must be positive")
-            xi = self.pump_amplitude_ua / (2.0 * i_c_small_ua)
-        if not 0.0 <= xi < 1.0:
-            raise ValueError(f"normalized pump amplitude {xi} outside [0, 1)")
-        return xi
 
 
 @dataclass(frozen=True)
@@ -158,11 +145,17 @@ class GainProfile:
 
 @dataclass
 class WorkingPointResult:
-    """Drive-grid sweep outcome: per-amplitude performance and the best."""
+    """Drive-grid sweep outcome, one entry per listed pump amplitude.
 
-    rows: list
-    best: dict
+    ``xi`` holds each drive, ``performance_db`` its band-mean gain (-inf
+    where the drive failed) and ``profiles`` its GainProfile (None where it
+    failed); ``best`` is the index of the best drive.
+    """
+
+    xi: np.ndarray
+    performance_db: np.ndarray
     profiles: list
+    best: int
 
 
 def coupling_constant(
@@ -184,7 +177,8 @@ def undepleted_gain(g0, delta_k, n_cells: int):
     Uses the complex square root, so the exponential branch
     (g0 > |dk|/2) and the oscillatory branch continue into each other.
     ``g0`` and ``delta_k`` broadcast against each other; scalars give a
-    float, arrays an array of the broadcast shape.
+    float, arrays an array of the broadcast shape.  A gain beyond the float
+    range is +inf.
     """
     if n_cells <= 0:
         raise ValueError("cell count must be positive")
@@ -194,11 +188,18 @@ def undepleted_gain(g0, delta_k, n_cells: int):
     x = float(n_cells)
     gx = g * x
     near_zero = np.abs(gx) < 1e-8
-    # sinh(g x)/g, with its series x (1 + (g x)^2 / 6) as g -> 0.
-    sinhc = np.where(near_zero, x * (1.0 + gx * gx / 6.0),
-                     np.sinh(gx) / np.where(near_zero, 1.0, g))
-    value = np.cosh(gx) + 0.5j * delta_k * sinhc
-    gain = value.real * value.real + value.imag * value.imag
+    # g x is real (gain grows) or imaginary (bounded), so any overflow
+    # means |value|^2 = cosh^2 + (dk/2 sinh/g)^2 is past the float range:
+    # the square overflows past g x ~ 355, cosh and sinh past ~ 710, and
+    # then inf * 0 in the complex product gives NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sinh(g x)/g, with its series x (1 + (g x)^2 / 6) as g -> 0.
+        sinhc = np.where(near_zero, x * (1.0 + gx * gx / 6.0),
+                         np.sinh(gx) / np.where(near_zero, 1.0, g))
+        value = np.cosh(gx) + 0.5j * delta_k * sinhc
+        gain = value.real * value.real + value.imag * value.imag
+    overflowed = np.isnan(gain) & np.isfinite(g0) & np.isfinite(delta_k)
+    gain = np.where(overflowed, np.inf, gain)
     return float(gain) if gain.ndim == 0 else gain
 
 
@@ -349,24 +350,23 @@ def signal_idler_grid(drive: DriveSpec) -> np.ndarray:
     return FrequencyGrid(lo, hi, drive.signal_step).freqs()
 
 
-def _gain_profiles(disp, expansion, template, n_cells, xis):
+def _gain_profiles(disp, expansion, drive, n_cells, xis):
     """Gain profile, or the AccuracyError that rejects it, for each xi.
 
-    Tones come from ``template`` (its own pump strength is not used); xi == 0
-    is the flat zero profile.  Every (xi > 0, tone) column first gets the
-    undepleted closed form G, with the signal seeded at SEED_RATIO * xi and
-    the idler empty, so by Manley-Rowe the pump loses
-    SEED_RATIO^2 (G - 1) of its power.  Only columns whose predicted
-    depletion exceeds HALVING_TOL -- where the closed form stops being
-    accurate to that tolerance -- integrate, as columns of one _integrate
-    call; the step-halving guard applies to each xi over its integrated
-    columns.
+    Tones come from ``drive``; xi == 0 is the flat zero profile.  Every
+    (xi > 0, tone) column first gets the undepleted closed form G, with the
+    signal seeded at SEED_RATIO * xi and the idler empty, so by Manley-Rowe
+    the pump loses SEED_RATIO^2 (G - 1) of its power.  Only columns whose
+    predicted depletion exceeds HALVING_TOL -- where the closed form stops
+    being accurate to that tolerance, or overflows to inf -- integrate, as
+    columns of one _integrate call; the step-halving guard applies to each
+    xi over its integrated columns.
     """
-    f_s = signal_idler_grid(template)
-    f_i = template.pump_freq - f_s
+    f_s = signal_idler_grid(drive)
+    f_i = drive.pump_freq - f_s
     k_s = disp.sample(f_s)
     k_i = disp.sample(f_i)
-    k_p = float(disp.sample(template.pump_freq))
+    k_p = float(disp.sample(drive.pump_freq))
     if np.any(k_s < 0) or np.any(k_i < 0):
         raise ValueError("negative wavenumber in the signal band")
 
@@ -379,10 +379,7 @@ def _gain_profiles(disp, expansion, template, n_cells, xis):
     g0 = np.array([coupling_constant(expansion, xi, k_s, k_i)
                    for xi in driven])
     delta_k = np.broadcast_to(k_p - k_s - k_i, g0.shape)
-    # Past g x ~ 710 the closed form overflows to inf or NaN; such a column
-    # is far into depletion, and the negated test sends it to the RK4 too.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gain = undepleted_gain(g0, delta_k, n_cells)
+    gain = undepleted_gain(g0, delta_k, n_cells)
     err = np.zeros_like(gain)
     depleted = ~(SEED_RATIO**2 * (gain - 1.0) <= HALVING_TOL)
     if np.any(depleted):
@@ -415,16 +412,16 @@ def gain_profile(
     expansion: PotentialExpansion,
     drive: DriveSpec,
     n_cells: int,
-    i_c_small_ua: float,
+    xi: float,
 ) -> GainProfile:
-    """Signal gain across the band, idler at f_p - f_s, seeded from vacuum scale.
+    """Signal gain across the band at drive xi, idler at f_p - f_s, seeded
+    from vacuum scale.
 
     Each signal frequency takes the undepleted closed form unless its
     predicted pump depletion exceeds HALVING_TOL; those integrate as
     columns of one RK4 loop with their half-step verification columns.
     """
-    xi = drive.resolve_xi(i_c_small_ua)
-    [profile] = _gain_profiles(disp, expansion, drive, n_cells, [xi])
+    [profile] = _gain_profiles(disp, expansion, drive, n_cells, [float(xi)])
     if isinstance(profile, AccuracyError):
         raise profile
     return profile
@@ -442,68 +439,51 @@ def optimize_working_point(
     expansion: PotentialExpansion,
     n_cells: int,
     i_c_small_ua: float,
-    drive_template: DriveSpec,
+    drive: DriveSpec,
     pump_amplitudes_ua,
-    flux_phi0: float,
 ) -> WorkingPointResult:
-    """Exhaustive pump-amplitude sweep at fixed flux bias.
+    """Exhaustive pump-amplitude sweep at the bias of ``expansion``.
 
-    Every amplitude is resolved first, then all of them are evaluated as
-    one batch (closed form, RK4 for the columns that deplete the pump).
-    Scores each amplitude by band-mean gain; ties resolve to the first
-    listed amplitude.  Per-point failures (an amplitude outside the
-    drive range, a step-halving rejection) are recorded with -inf
-    performance and skipped; if every point fails the sweep itself raises.
-    ``flux_phi0`` is the bias ``expansion`` was taken at; it only fills the
-    flux column of each row.
+    Each amplitude becomes xi = I_p / (2 I_c,small) and every xi in [0, 1)
+    is evaluated in one batch (closed form, RK4 for the columns that
+    deplete the pump).  Scores each drive by band-mean gain; ties resolve
+    to the first listed amplitude.  Per-drive failures (an xi outside
+    [0, 1), a step-halving rejection) score -inf and get no profile; if
+    every drive fails the sweep itself raises.
     """
-    amplitudes = [float(a) for a in pump_amplitudes_ua]
-    if not amplitudes:
+    amplitudes = np.asarray(pump_amplitudes_ua, dtype=float)
+    if amplitudes.size == 0:
         raise ValueError("pump amplitude grid is empty")
-    resolved = []
-    for amp in amplitudes:
-        drive = DriveSpec(
-            pump_freq=drive_template.pump_freq,
-            signal_band=drive_template.signal_band,
-            signal_step=drive_template.signal_step,
-            pump_amplitude_ua=amp,
-        )
-        try:
-            resolved.append(drive.resolve_xi(i_c_small_ua))
-        except ValueError as exc:
-            resolved.append(exc)
-    xis = [r for r in resolved if not isinstance(r, Exception)]
+    if not i_c_small_ua > 0:
+        raise ValueError("critical current must be positive")
+    xi = amplitudes / (2.0 * i_c_small_ua)
+    in_range = (xi >= 0.0) & (xi < 1.0)
     try:
         solved = iter(
-            _gain_profiles(disp, expansion, drive_template, n_cells, xis)
+            _gain_profiles(disp, expansion, drive, n_cells, xi[in_range])
         )
     except Exception as exc:  # a failure of the device fails every drive
         solved = itertools.repeat(exc)
 
-    rows, profiles = [], []
-    best = None
+    performance_db = np.full(xi.shape, -np.inf)
+    profiles = [None] * xi.size
     last_error = None
-    for amp, r in zip(amplitudes, resolved):
-        outcome = r if isinstance(r, Exception) else next(solved)
+    for i, ok in enumerate(in_range):
+        outcome = next(solved) if ok else ValueError(
+            f"normalized pump amplitude {xi[i]} outside [0, 1)")
         if not isinstance(outcome, Exception):
             try:
-                perf = performance(outcome)
+                performance_db[i] = performance(outcome)
+                profiles[i] = outcome
+                continue
             except Exception as exc:
                 outcome = exc
-        failed = isinstance(outcome, Exception)
-        rows.append({
-            "pump_amplitude_ua": amp,
-            "flux_phi0": flux_phi0,
-            "performance_db": float("-inf") if failed else perf,
-            "failed": failed,
-        })
-        profiles.append(None if failed else outcome)
-        if failed:
-            last_error = outcome
-        elif best is None or perf > best["performance_db"]:
-            best = rows[-1]
-    if best is None:
+        last_error = outcome
+    scored = [i for i, p in enumerate(profiles) if p is not None]
+    if not scored:
         raise RuntimeError(
             f"every drive point failed; last error: {last_error}"
         )
-    return WorkingPointResult(rows=rows, best=dict(best), profiles=profiles)
+    best = scored[int(np.argmax(performance_db[scored]))]
+    return WorkingPointResult(xi=xi, performance_db=performance_db,
+                              profiles=profiles, best=best)

@@ -406,7 +406,13 @@ def _resolve_stage3_flux(cfg: RunConfig, pstar_doc: dict) -> float:
 
 def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
                pstar_path=None) -> dict:
-    """Nonlinear drive sweep at p* -> s2p, per-drive gain CSVs, q* JSON."""
+    """Nonlinear drive sweep at p* -> s2p, per-drive gain CSVs, q* JSON.
+
+    The configured pump amplitudes become one xi array at the resolved flux
+    bias.  Drive i (from 1) that succeeds gets ``gain_profile_iii.csv``;
+    every drive gets a row of ``working_points.csv`` (-inf where it
+    failed), and ``qstar.json`` records the best drive and its profile.
+    """
     pstar_path = pstar_path or paths.pstar_json
     if not os.path.exists(pstar_path):
         raise ConfigError(f"p* file {pstar_path} not found; run optimize first")
@@ -427,47 +433,41 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
         expansion = expand_potential(
             SnailSpec(small_junction=junction, alpha=device.alpha,
                       flux_ext=flux))
-        i_c_small = critical_current(junction)
         amps = cfg.drive.pump_amplitudes_ua
-        template = DriveSpec(
+        drive = DriveSpec(
             pump_freq=cfg.metric.pump_freq,
             signal_band=cfg.drive.signal_band,
             signal_step=cfg.drive.signal_step,
-            pump_amplitude_ua=amps[0],
         )
         wp = optimize_working_point(
-            disp, expansion, device.cell_count, i_c_small,
-            template, amps, flux)
+            disp, expansion, device.cell_count, critical_current(junction),
+            drive, amps)
 
         outputs = ["pstar.s2p", "working_points.csv", "qstar.json"]
-        best_profile_file = None
-        for i, (row, profile) in enumerate(zip(wp.rows, wp.profiles), start=1):
-            if profile is None:
-                continue
-            name = f"gain_profile_{i:03d}.csv"
-            write_csv(paths.gain_profile(i), GAIN_PROFILE_COLUMNS,
-                      zip(profile.freqs, profile.gain_db,
-                          profile.pump_depletion))
-            outputs.append(name)
-            if (row["pump_amplitude_ua"] == wp.best["pump_amplitude_ua"]
-                    and best_profile_file is None):
-                best_profile_file = name
+        for i, profile in enumerate(wp.profiles, start=1):
+            if profile is not None:
+                path = paths.gain_profile(i)
+                write_csv(path, GAIN_PROFILE_COLUMNS,
+                          zip(profile.freqs, profile.gain_db,
+                              profile.pump_depletion))
+                outputs.append(os.path.basename(path))
         write_csv(paths.working_points,
                   ("pump_amplitude_uA", "flux_phi0", "performance_dB"),
-                  ((r["pump_amplitude_ua"], r["flux_phi0"], r["performance_db"])
-                   for r in wp.rows))
+                  ((amp, flux, perf)
+                   for amp, perf in zip(amps, wp.performance_db)))
 
+        best = wp.best
         qstar_doc = {
-            "pump_amplitude_ua": wp.best["pump_amplitude_ua"],
-            "xi": wp.best["pump_amplitude_ua"] / (2.0 * i_c_small),
+            "pump_amplitude_ua": amps[best],
+            "xi": float(wp.xi[best]),
             "flux_phi0": flux,
-            "performance_db": wp.best["performance_db"],
+            "performance_db": float(wp.performance_db[best]),
             "pump_freq_hz": cfg.metric.pump_freq,
             "signal_band_hz": list(cfg.drive.signal_band),
             "signal_step_hz": cfg.drive.signal_step,
-            "gain_profile_file": best_profile_file,
-            "n_drive_points": len(wp.rows),
-            "n_failed_drive_points": sum(1 for r in wp.rows if r["failed"]),
+            "gain_profile_file": os.path.basename(paths.gain_profile(best + 1)),
+            "n_drive_points": len(amps),
+            "n_failed_drive_points": sum(p is None for p in wp.profiles),
         }
         write_json(paths.qstar_json, qstar_doc)
     except Exception as exc:

@@ -45,7 +45,6 @@ from twpaopt.pipeline import run_pipeline
 from twpaopt.snail import (
     JunctionSpec,
     SnailSpec,
-    critical_current,
     expand_potential,
     kerr_free_flux,
 )
@@ -252,8 +251,8 @@ def test_criterion_07_coupled_mode_validity(ref_dispersion, ref_expansion,
     quiet = gain_profile(
         ref_dispersion, ref_expansion,
         DriveSpec(pump_freq=REF_PUMP, signal_band=REF_BAND,
-                  signal_step=0.05e9, xi=0.0),
-        n_cells=n, i_c_small_ua=critical_current(JUNCTION))
+                  signal_step=0.05e9),
+        n_cells=n, xi=0.0)
     quiet_db = float(np.max(np.abs(quiet.gain_db)))
 
     ok = worst_rel < 1e-6 and drift < 1e-8 and quiet_db < 1e-9
@@ -306,14 +305,12 @@ def test_criterion_09_desk_scale_end_to_end(desk_run, capsys):
 
 def test_criterion_10_twenty_db_working_point(ref_dispersion, ref_expansion,
                                               capsys):
-    i_c = critical_current(JUNCTION)
-
     def band_gain(xi):
         profile = gain_profile(
             ref_dispersion, ref_expansion,
             DriveSpec(pump_freq=REF_PUMP, signal_band=REF_BAND,
-                      signal_step=0.05e9, xi=xi),
-            n_cells=360, i_c_small_ua=i_c)
+                      signal_step=0.05e9),
+            n_cells=360, xi=xi)
         return performance(profile), profile
 
     lo, hi = 1e-3, 0.499

@@ -74,6 +74,38 @@ def test_stage3_accepts_explicit_pstar(finished_run, capsys):
     assert "q* pump amplitude" in capsys.readouterr().out
 
 
+def test_stage3_records_a_failed_drive_point(mini_config):
+    # 5 uA is xi 4.6 on the mini p*: outside [0, 1), so it scores -inf and
+    # writes no profile, and q* points at the third drive's profile.
+    config_path, run_dir = mini_config(drive={
+        "pump_amplitudes_ua": [0.1, 5.0, 0.3],
+        "signal_band_ghz": [4.75, 6.75],
+        "signal_step_ghz": 0.25,
+    })
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+
+    rows = [row.split(",") for row in
+            (run_dir / "working_points.csv").read_text().splitlines()]
+    assert rows[0] == ["pump_amplitude_uA", "flux_phi0", "performance_dB"]
+    assert [row[0] for row in rows[1:]] == ["0.10000000000000001", "5",
+                                            "0.29999999999999999"]
+    assert rows[2][2] == "-inf"
+    assert 0 < float(rows[1][2]) < float(rows[3][2])
+    assert not (run_dir / "gain_profile_002.csv").exists()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["stages"]["stage3"]["outputs"] == [
+        "pstar.s2p", "working_points.csv", "qstar.json",
+        "gain_profile_001.csv", "gain_profile_003.csv"]
+    qstar = json.loads((run_dir / "qstar.json").read_text())
+    assert qstar["gain_profile_file"] == "gain_profile_003.csv"
+    assert qstar["n_drive_points"] == 3
+    assert qstar["n_failed_drive_points"] == 1
+    assert qstar["pump_amplitude_ua"] == 0.3
+    assert qstar["xi"] == 0.27777777777777773
+    assert ((run_dir / "report" / "gain_qstar.csv").read_bytes()
+            == (run_dir / "gain_profile_003.csv").read_bytes())
+
+
 def test_locked_run_dir_refuses_second_writer(finished_run, capsys):
     config_path, run_dir = finished_run
     lock = run_dir / "lock"

@@ -27,10 +27,8 @@ BAND = (4.75e9, 6.75e9)
 PUMP = 11.5e9
 
 
-def drive(step=0.25e9, **kwargs):
-    kwargs.setdefault("xi", 0.2)
-    return DriveSpec(pump_freq=PUMP, signal_band=BAND, signal_step=step,
-                     **kwargs)
+def drive(step=0.25e9):
+    return DriveSpec(pump_freq=PUMP, signal_band=BAND, signal_step=step)
 
 
 def band_wavenumbers(disp, freqs):
@@ -99,6 +97,17 @@ def test_undepleted_gain_array_matches_scalar_calls():
     for bad in (0, -1):
         with pytest.raises(ValueError):
             undepleted_gain(g0, dk, bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_undepleted_gain_past_the_float_range_is_inf():
+    # g0 N = 792: cosh and sinh overflow and inf * 0 would give NaN;
+    # g0 N = 684: only the square overflows.
+    for g0, dk in [(2.2, 0.1), (2.2, 0.0), (1.9, 0.0)]:
+        assert undepleted_gain(g0, dk, 360) == np.inf, (g0, dk)
+    got = undepleted_gain(np.array([2.2, 0.5 / 360]), 0.1, 360)
+    assert got[0] == np.inf
+    assert got[1] == undepleted_gain(0.5 / 360, 0.1, 360)
 
 
 @pytest.mark.parametrize("dk_branch", [0.0, 2.0, 10.0])
@@ -184,25 +193,25 @@ def test_cme_inputs_validation():
 
 def test_drive_spec_validation():
     with pytest.raises(ValueError):
-        DriveSpec(pump_freq=PUMP, signal_band=(6e9, 5e9), signal_step=1e8,
-                  xi=0.1)
+        DriveSpec(pump_freq=PUMP, signal_band=(6e9, 5e9), signal_step=1e8)
     with pytest.raises(ValueError):
-        DriveSpec(pump_freq=5e9, signal_band=BAND, signal_step=1e8, xi=0.1)
-    with pytest.raises(ValueError):
-        DriveSpec(pump_freq=PUMP, signal_band=BAND, signal_step=1e8)
+        DriveSpec(pump_freq=5e9, signal_band=BAND, signal_step=1e8)
 
 
-def test_drive_spec_resolve_xi():
-    assert drive(xi=0.25).resolve_xi(0.441) == 0.25
-    amp = DriveSpec(pump_freq=PUMP, signal_band=BAND, signal_step=1e8,
-                    pump_amplitude_ua=0.2)
-    assert amp.resolve_xi(0.441) == pytest.approx(0.2 / 0.882, rel=1e-12)
-    strong = DriveSpec(pump_freq=PUMP, signal_band=BAND, signal_step=1e8,
-                       pump_amplitude_ua=2.0)
+def test_optimize_working_point_resolves_xi_from_amplitude(ref_dispersion,
+                                                           ref_expansion):
+    result = optimize_working_point(
+        ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.441,
+        drive=drive(), pump_amplitudes_ua=[0.2, 2.0])
+    assert result.xi[0] == pytest.approx(0.2 / 0.882, rel=1e-12)
+    # 2.0 uA is xi 2.27, outside [0, 1): a failed row, not a raise.
+    assert result.performance_db[1] == float("-inf")
+    assert result.profiles[1] is None
+    assert result.best == 0
     with pytest.raises(ValueError):
-        strong.resolve_xi(0.441)
-    with pytest.raises(ValueError):
-        amp.resolve_xi(0.0)
+        optimize_working_point(
+            ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.0,
+            drive=drive(), pump_amplitudes_ua=[0.2])
 
 
 def test_signal_idler_grid_counts():
@@ -222,7 +231,7 @@ def test_coupling_constant_frozen_value(ref_expansion):
 
 def test_gain_profile_halving_guard_is_per_component(
         ref_dispersion, ref_expansion, monkeypatch):
-    spec = drive(step=0.05e9, xi=0.499)
+    spec = drive(step=0.05e9)
     # Every column depletes the pump past the bound, so the whole profile
     # goes through the RK4 and its guard rather than the closed form.
     depletion = predicted_depletion(ref_dispersion, ref_expansion, 0.499,
@@ -233,15 +242,15 @@ def test_gain_profile_halving_guard_is_per_component(
     monkeypatch.setattr(mixing, "RK4_STEP", 4.0)
     with pytest.raises(AccuracyError):
         gain_profile(ref_dispersion, ref_expansion, spec,
-                     n_cells=360, i_c_small_ua=0.441)
+                     n_cells=360, xi=0.499)
 
 
 @pytest.mark.parametrize("xi", [0.125, 0.16, 0.1875])
 def test_gain_profile_closed_form_matches_rk4_per_column(
         ref_dispersion, ref_expansion, xi):
     profile = gain_profile(ref_dispersion, ref_expansion,
-                           drive(step=0.05e9, xi=xi),
-                           n_cells=360, i_c_small_ua=0.441)
+                           drive(step=0.05e9),
+                           n_cells=360, xi=xi)
     assert np.all(predicted_depletion(ref_dispersion, ref_expansion, xi,
                                       profile.freqs) <= mixing.HALVING_TOL)
     k_s, k_i, k_p = band_wavenumbers(ref_dispersion, profile.freqs)
@@ -261,14 +270,14 @@ def test_gain_profile_integrates_columns_whose_closed_form_overflows(
     # c3 / 2 c2 = 50 puts g0 N past 710 at 72 cells: the closed form is
     # inf or NaN there, and the RK4 guard, not a NaN profile, has the say.
     strong = PotentialExpansion(phi_min=0.0, c2=1.0, c3=100.0, c4=0.0)
-    spec = drive(step=0.5e9, xi=0.5)
+    spec = drive(step=0.5e9)
     with np.errstate(over="ignore", invalid="ignore"):
         depletion = predicted_depletion(ref_dispersion, strong, 0.5,
                                         signal_idler_grid(spec), n_cells=72)
     assert not np.any(np.isfinite(depletion))
     with pytest.raises(AccuracyError):
         gain_profile(ref_dispersion, strong, spec, n_cells=72,
-                     i_c_small_ua=0.441)
+                     xi=0.5)
 
 
 def assert_manley_rowe_depletion(profile):
@@ -296,11 +305,10 @@ def test_optimize_working_point_integrates_only_depleted_columns(
     monkeypatch.setattr(mixing, "_integrate", spy)
     i_c = 0.441
     amps = [0.1, 2.0 * i_c * 0.499]
-    template = drive(step=0.05e9, pump_amplitude_ua=amps[0], xi=None)
+    template = drive(step=0.05e9)
     result = optimize_working_point(
         ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=i_c,
-        drive_template=template, pump_amplitudes_ua=amps,
-        flux_phi0=0.38447551700472826)
+        drive=template, pump_amplitudes_ua=amps)
     shallow, deep = result.profiles
     xi_shallow, xi_deep = (amp / (2.0 * i_c) for amp in amps)
     freqs = signal_idler_grid(template)
@@ -317,20 +325,20 @@ def test_optimize_working_point_integrates_only_depleted_columns(
         deep.gain_db, 10.0 * np.log10(np.abs(final[0] / a0[0]) ** 2))
     for profile in (shallow, deep):
         assert_manley_rowe_depletion(profile)
-    assert result.best["pump_amplitude_ua"] == amps[1]
+    assert result.best == 1
 
 
 def test_gain_profile_zero_pump_is_flat_zero(ref_dispersion, ref_expansion):
-    profile = gain_profile(ref_dispersion, ref_expansion, drive(xi=0.0),
-                           n_cells=360, i_c_small_ua=0.441)
+    profile = gain_profile(ref_dispersion, ref_expansion, drive(),
+                           n_cells=360, xi=0.0)
     np.testing.assert_array_equal(profile.gain_db, 0.0)
     np.testing.assert_array_equal(profile.pump_depletion, 0.0)
 
 
 @pytest.fixture(scope="module")
 def ref_profile(ref_dispersion, ref_expansion):
-    return gain_profile(ref_dispersion, ref_expansion, drive(xi=0.16),
-                        n_cells=360, i_c_small_ua=0.441)
+    return gain_profile(ref_dispersion, ref_expansion, drive(),
+                        n_cells=360, xi=0.16)
 
 
 def test_gain_profile_tracks_undepleted_prediction(ref_dispersion,
@@ -380,11 +388,10 @@ def test_optimize_working_point_monotone_sweep(ref_dispersion, ref_expansion):
     amps = [0.05, 0.1, 0.15]
     result = optimize_working_point(
         ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.441,
-        drive_template=drive(pump_amplitude_ua=0.05, xi=None),
-        pump_amplitudes_ua=amps, flux_phi0=0.38447551700472826)
-    perfs = [row["performance_db"] for row in result.rows]
+        drive=drive(), pump_amplitudes_ua=amps)
+    perfs = list(result.performance_db)
     assert perfs == sorted(perfs)  # gain grows with pump drive here
-    assert result.best["pump_amplitude_ua"] == 0.15
+    assert result.best == 2
     assert len(result.profiles) == 3
     assert all(p is not None for p in result.profiles)
 
@@ -392,12 +399,10 @@ def test_optimize_working_point_monotone_sweep(ref_dispersion, ref_expansion):
 def test_optimize_working_point_skips_failures(ref_dispersion, ref_expansion):
     result = optimize_working_point(
         ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.441,
-        drive_template=drive(pump_amplitude_ua=0.1, xi=None),
-        pump_amplitudes_ua=[0.1, 5.0], flux_phi0=0.38447551700472826)
-    assert result.rows[1]["failed"]
-    assert result.rows[1]["performance_db"] == float("-inf")
+        drive=drive(), pump_amplitudes_ua=[0.1, 5.0])
+    assert result.performance_db[1] == float("-inf")
     assert result.profiles[1] is None
-    assert result.best["pump_amplitude_ua"] == 0.1
+    assert result.best == 0
 
 
 def test_optimize_working_point_batch_matches_single_drives(
@@ -405,20 +410,18 @@ def test_optimize_working_point_batch_matches_single_drives(
     amps = [0.1, 5.0, 0.15]
     result = optimize_working_point(
         ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.441,
-        drive_template=drive(pump_amplitude_ua=0.1, xi=None),
-        pump_amplitudes_ua=amps, flux_phi0=0.38447551700472826)
-    assert result.rows[1]["failed"]
+        drive=drive(), pump_amplitudes_ua=amps)
+    assert result.performance_db[1] == float("-inf")
     assert result.profiles[1] is None
     for i in (0, 2):
-        single = gain_profile(ref_dispersion, ref_expansion,
-                              drive(pump_amplitude_ua=amps[i], xi=None),
-                              n_cells=360, i_c_small_ua=0.441)
+        single = gain_profile(ref_dispersion, ref_expansion, drive(),
+                              n_cells=360, xi=amps[i] / (2.0 * 0.441))
         np.testing.assert_allclose(result.profiles[i].gain_db,
                                    single.gain_db, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(result.profiles[i].freqs, single.freqs)
-        assert result.rows[i]["performance_db"] == pytest.approx(
+        assert result.performance_db[i] == pytest.approx(
             performance(single), abs=1e-12)
-    assert result.best["pump_amplitude_ua"] == 0.15
+    assert result.best == 2
 
 
 def test_optimize_working_point_all_failures_raise(ref_dispersion,
@@ -426,19 +429,16 @@ def test_optimize_working_point_all_failures_raise(ref_dispersion,
     with pytest.raises(RuntimeError, match="every drive point failed"):
         optimize_working_point(
             ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.441,
-            drive_template=drive(pump_amplitude_ua=2.0, xi=None),
-            pump_amplitudes_ua=[2.0, 5.0], flux_phi0=0.38447551700472826)
+            drive=drive(), pump_amplitudes_ua=[2.0, 5.0])
 
 
 def test_optimize_working_point_tie_breaks_to_lower_amplitude(
         ref_dispersion, ref_expansion):
     result = optimize_working_point(
         ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.441,
-        drive_template=drive(pump_amplitude_ua=0.1, xi=None),
-        pump_amplitudes_ua=[0.1, 0.1], flux_phi0=0.38447551700472826)
-    assert result.best is not result.rows[1]
-    assert result.best["pump_amplitude_ua"] == 0.1
-    assert result.best == dict(result.rows[0])
+        drive=drive(), pump_amplitudes_ua=[0.1, 0.1])
+    assert result.performance_db[0] == result.performance_db[1]
+    assert result.best == 0
 
 
 @given(g0n=st.floats(0.1, 5.0), dkn=st.floats(0.0, 12.0))

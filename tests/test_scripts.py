@@ -36,6 +36,16 @@ def test_find_working_point_writes_17_digit_profile(tmp_path, capsys):
     assert max(row[1] for row in rows) > 1.0
 
 
+def test_find_working_point_stops_at_an_unreachable_target(capsys):
+    # The xi 0.499 bracket of the 120-cell device reads 24.56 dB.
+    script = load_script("find_working_point_20db")
+    assert script.main(["--cells", "120", "--target-db", "80"]) == 1
+    captured = capsys.readouterr()
+    assert "unreachable" in captured.err
+    assert "bracket xi 0.4990: 24.56 dB" in captured.out
+    assert "working point" not in captured.out
+
+
 def test_run_desk_pipeline_parses_its_arguments():
     script = load_script("run_desk_pipeline")
     args = script.parse_args(["--output", "runs/x", "--workers", "2"])
