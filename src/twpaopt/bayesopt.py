@@ -85,8 +85,18 @@ class SearchSpace:
 
 
 def _sq_dists(xa: np.ndarray, xb: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    diff = (xa[:, None, :] - xb[None, :, :]) / lengths
-    return np.sum(diff * diff, axis=-1)
+    """Scaled squared distances, summed one dimension at a time in place.
+
+    Bitwise equal to the broadcast sum over an (n, m, d) tensor for d < 8:
+    numpy adds fewer than 8 terms left to right too, and 0 + a is exact.
+    """
+    total = np.zeros((xa.shape[0], xb.shape[0]))
+    for k in range(xa.shape[1]):
+        t = np.subtract.outer(xa[:, k], xb[:, k])
+        t /= lengths[k]
+        t *= t
+        total += t
+    return total
 
 
 def kernel(xa, xb, signal_variance: float, length_scales) -> np.ndarray:
@@ -94,7 +104,11 @@ def kernel(xa, xb, signal_variance: float, length_scales) -> np.ndarray:
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     lengths = np.asarray(length_scales, dtype=float)
-    return signal_variance * np.exp(-0.5 * _sq_dists(xa, xb, lengths))
+    out = _sq_dists(xa, xb, lengths)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= signal_variance
+    return out
 
 
 @dataclass
@@ -124,10 +138,11 @@ class GpModel:
         last_error = None
         for jitter_rel in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
             jitter = jitter_rel * signal_variance
+            # A fresh copy per level: jitter must not pile up in k.
+            a = k.copy()
+            a.flat[::n + 1] += noise_variance + jitter
             try:
-                chol = np.linalg.cholesky(
-                    k + (noise_variance + jitter) * np.eye(n)
-                )
+                chol = np.linalg.cholesky(a)
             except np.linalg.LinAlgError as exc:
                 last_error = exc
                 continue
@@ -285,7 +300,8 @@ def posterior(model: GpModel, x):
     k_star = kernel(model.x, x_arr, model.signal_variance, model.length_scales)
     mean = model.y_offset + k_star.T @ model.alpha
     v = solve_triangular(model.chol, k_star, lower=True)
-    var = model.signal_variance - np.sum(v * v, axis=0)
+    v *= v
+    var = model.signal_variance - np.sum(v, axis=0)
     if np.any(var < -1e-8 * model.signal_variance):
         warnings.warn("posterior variance clipped from a negative value")
     var = np.maximum(var, 0.0)
@@ -382,24 +398,23 @@ def optimize_metric(
 ) -> OptResult:
     """Enumerate discrete combinations, run BO over the continuous dims.
 
-    ``budget`` counts total objective evaluations including supplied
-    warm-start records; when the warm start already meets the budget no new
+    ``budget`` counts total objective evaluations including the kept
+    warm-start records; when they already meet the budget no new
     evaluations happen and the best warm point is returned.  When new
     evaluations are required the budget must allow at least
     MIN_EVALS_PER_COMBO per enumeration combination.  Remaining budget is
     spread round-robin over combinations.  Objective failures are recorded
     at ten times the combination's worst usable value (1e31 before there is
     one) and do not stop the run.  Warm-start rows whose enumerated values
-    match no combination are dropped.
+    match no combination are dropped and use up no budget.
     """
-    warm = list(warm_start) if warm_start else []
     combos = space.combos()
     n_combos = len(combos)
 
     names = [n for n, _ in space.enumerated]
     combo_ids = {tuple(c[n] for n in names): ci for ci, c in enumerate(combos)}
     warm_by_combo = [[] for _ in combos]
-    for params, value in warm:
+    for params, value in warm_start or ():
         ci = combo_ids.get(tuple(params.get(n) for n in names))
         if ci is not None:
             warm_by_combo[ci].append((params, value))
@@ -423,7 +438,7 @@ def optimize_metric(
                 ys.append(float(value))
         combo_data.append((xs, ys))
 
-    new_total = budget - len(warm)
+    new_total = budget - sum(len(rows) for rows in warm_by_combo)
     new_evals = 0
     if new_total > 0:
         if budget < MIN_EVALS_PER_COMBO * n_combos:

@@ -14,6 +14,7 @@ import sys
 from .config import ConfigError, RunConfig, load_config
 from .pipeline import (
     RunLock,
+    RunPaths,
     open_run_dir,
     prepare_run_dir,
     run_optimize,
@@ -58,6 +59,17 @@ def _progress_printer(total: int):
     return callback
 
 
+def _warn_stage1(failed: int, stage1_csv: str) -> None:
+    if failed:
+        print(f"warning: {failed} grid point(s) failed and are flagged in "
+              f"{stage1_csv}", file=sys.stderr)
+
+
+def _warn_stage3(failed: int) -> None:
+    if failed:
+        print(f"warning: {failed} drive point(s) failed", file=sys.stderr)
+
+
 def _cmd_stage1(args) -> int:
     cfg = load_config(args.config)
     workers = resolve_workers(args.workers, cfg)
@@ -65,9 +77,7 @@ def _cmd_stage1(args) -> int:
     with RunLock(paths):
         failed = run_stage1(cfg, paths, manifest, workers=workers,
                             progress=_progress_printer(cfg.grid.size))
-    if failed:
-        print(f"warning: {failed} grid point(s) failed and are flagged in "
-              f"{paths.stage1_csv}", file=sys.stderr)
+    _warn_stage1(failed, paths.stage1_csv)
     print(paths.stage1_csv)
     return 0
 
@@ -89,9 +99,7 @@ def _cmd_stage3(args) -> int:
     paths, manifest = prepare_run_dir(args.config, cfg)
     with RunLock(paths):
         doc = run_stage3(cfg, paths, manifest, pstar_path=args.pstar)
-    failed = doc["n_failed_drive_points"]
-    if failed:
-        print(f"warning: {failed} drive point(s) failed", file=sys.stderr)
+    _warn_stage3(doc["n_failed_drive_points"])
     print(f"q* pump amplitude {doc['pump_amplitude_ua']:.6g} uA, "
           f"band-mean gain {doc['performance_db']:.4g} dB -> "
           f"{paths.qstar_json}")
@@ -104,8 +112,13 @@ def _cmd_pipeline(args) -> int:
     manifest = run_pipeline(args.config, cfg, workers=workers,
                             force=args.force,
                             progress=_progress_printer(cfg.grid.size))
-    for name, stage in manifest["stages"].items():
+    stages = manifest["stages"]
+    for name, stage in stages.items():
         print(f"{name}: {stage['status']}")
+    _warn_stage1(stages["stage1"]["failed_points"],
+                 RunPaths(cfg.output_dir).stage1_csv)
+    # Run directories written before stage 3 recorded the field lack it.
+    _warn_stage3(stages["stage3"].get("failed_drive_points", 0))
     return 0
 
 

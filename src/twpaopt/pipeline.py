@@ -473,7 +473,8 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
     except Exception as exc:
         _stage_fail(paths, manifest, "stage3", exc)
         raise
-    _stage_finish(paths, manifest, "stage3", outputs)
+    _stage_finish(paths, manifest, "stage3", outputs,
+                  failed_drive_points=qstar_doc["n_failed_drive_points"])
     return qstar_doc
 
 

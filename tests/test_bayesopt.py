@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from oracles import (
     expected_improvement_quad,
@@ -14,6 +15,7 @@ from oracles import (
     sq_exp_kernel_loops,
 )
 from twpaopt.bayesopt import (
+    LENGTH_SCALE_BOUNDS,
     GpModel,
     HistoryEntry,
     MIN_EVALS_PER_COMBO,
@@ -46,6 +48,61 @@ def test_kernel_against_loop_oracle():
     np.testing.assert_allclose(got, ref, rtol=1e-13)
     np.testing.assert_allclose(np.diag(kernel(xa, xa, 2.5, lengths)), 2.5,
                                rtol=1e-14)
+
+
+def kernel_broadcast(xa, xb, signal_variance, lengths):
+    """The (n, m, d) broadcast formula the per-dimension kernel replaces."""
+    diff = (xa[:, None, :] - xb[None, :, :]) / lengths
+    return signal_variance * np.exp(-0.5 * np.sum(diff * diff, axis=-1))
+
+
+def build_with_eye(x, y, signal_variance, lengths, noise_variance):
+    """(chol, alpha, jitter) of the jitter ladder written with np.eye."""
+    k = kernel_broadcast(x, x, signal_variance, lengths)
+    n = x.shape[0]
+    for jitter_rel in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        jitter = jitter_rel * signal_variance
+        try:
+            chol = np.linalg.cholesky(
+                k + (noise_variance + jitter) * np.eye(n))
+        except np.linalg.LinAlgError:
+            continue
+        return chol, cho_solve((chol, True), y - np.mean(y)), jitter
+    raise AssertionError("the np.eye ladder found no factorization")
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (150, 4112)])
+@pytest.mark.parametrize("length", LENGTH_SCALE_BOUNDS)
+def test_kernel_bitwise_equals_broadcast_formula(d, shape, length):
+    rng = np.random.default_rng(d * 1000 + shape[1])
+    xa = rng.uniform(size=(shape[0], d))
+    xb = rng.uniform(size=(shape[1], d))
+    # One dimension at the bound, the rest drawn across the bounded range.
+    lengths = np.exp(rng.uniform(*np.log(LENGTH_SCALE_BOUNDS), size=d))
+    lengths[0] = length
+    got = kernel(xa, xb, 1.7, lengths)
+    assert np.array_equal(got, kernel_broadcast(xa, xb, 1.7, lengths))
+
+
+@pytest.mark.parametrize("case", ["plain", "duplicates", "deficit"])
+def test_build_bitwise_equals_eye_ladder(case):
+    x, y = training_set(n=30, d=3)
+    lengths, noise, jitter = np.array([0.3, 0.5, 0.8]), 1e-4, 0.0
+    if case != "plain":
+        # Duplicate rows make k singular: noise 1e-300 is lost to rounding,
+        # so the ladder climbs one rung.
+        x, noise, jitter = np.vstack((x, x[:5])), 1e-300, 1e-10
+        y = np.concatenate((y, y[:5]))
+    if case == "deficit":
+        # A diagonal deficit only the third rung covers: jitter that piled
+        # up across the ladder would need the fourth.
+        noise, jitter = -5e-10, 1e-9
+    model = GpModel.build(x, y, 1.0, lengths, noise)
+    chol, alpha, ref_jitter = build_with_eye(x, y, 1.0, lengths, noise)
+    assert model.jitter == ref_jitter == jitter
+    assert np.array_equal(model.chol, chol)
+    assert np.array_equal(model.alpha, alpha)
 
 
 def test_noise_free_model_interpolates():
@@ -315,7 +372,7 @@ def test_warm_start_grouped_by_combination():
         ({"x": 0.6, "mode": 0.0}, 1.0),
         ({"x": 0.7, "mode": 1.0}, 6.0),
     ]
-    result = optimize_metric(space, lambda p: 1.0, budget=len(warm), seed=0,
+    result = optimize_metric(space, lambda p: 1.0, budget=6, seed=0,
                              warm_start=warm)
     assert result.new_evaluations == 0
     # Combination 0's rows, then combination 1's, each in input order.
@@ -348,3 +405,18 @@ def test_failure_sentinel_does_not_compound():
     # Without any usable value the sentinel is 1e31 throughout.
     cold = optimize_metric(space, broken, budget=12, seed=0)
     assert all(h.flagged and h.metric == 1e31 for h in cold.history)
+
+
+def test_dropped_warm_rows_use_up_no_budget():
+    # Ten kept rows plus one whose mode matches no combination: a budget of
+    # 11 leaves exactly one new evaluation.
+    space = SearchSpace(
+        continuous=(("x", 0.0, 1.0),),
+        enumerated=(("mode", (0.0,)),),
+    )
+    warm = [({"x": i / 10.0, "mode": 0.0}, 1.0 + i) for i in range(10)]
+    warm.append(({"x": 0.95, "mode": 2.0}, 0.5))
+    result = optimize_metric(space, lambda p: 1.0, budget=11, seed=0,
+                             warm_start=warm)
+    assert result.new_evaluations == 1
+    assert [h.iteration for h in result.history] == [-1] * 10 + [0]

@@ -106,6 +106,18 @@ def test_stage3_records_a_failed_drive_point(mini_config):
             == (run_dir / "gain_profile_003.csv").read_bytes())
 
 
+def test_pipeline_warns_of_a_failed_drive_point(mini_config, capsys):
+    config_path, run_dir = mini_config(drive={
+        "pump_amplitudes_ua": [0.1, 5.0, 0.3],
+        "signal_band_ghz": [4.75, 6.75],
+        "signal_step_ghz": 0.25,
+    })
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    assert "warning: 1 drive point(s) failed" in capsys.readouterr().err
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["stages"]["stage3"]["failed_drive_points"] == 1
+
+
 def test_locked_run_dir_refuses_second_writer(finished_run, capsys):
     config_path, run_dir = finished_run
     lock = run_dir / "lock"
