@@ -12,6 +12,11 @@ unimodular matrices (the Abeles formula for periodic stacks).  Deep in a
 stopband the chain-matrix entries grow like exp(kappa N) and would overflow,
 so that growth is carried separately as a logarithmic scale; S-parameters are
 ratios and come out finite either way.
+
+Everything from the cell immittances to the S-parameters works on a leading
+device axis: devices that share pitch and cell count are simulated as one
+batch, each element through the same operations as on its own.  A single
+device is a batch of one.
 """
 
 from __future__ import annotations
@@ -100,13 +105,18 @@ class CellConfig:
 
 @dataclass(frozen=True)
 class CellImmittance:
-    """Series inductance (H) and shunt capacitance (F) of one cell."""
+    """Series inductance (H) and shunt capacitance (F) of one cell.
 
-    series_inductance: float
-    shunt_capacitance: float
+    Scalars for one device, or equal-shape arrays with one entry per device
+    of a batch (see ``stack_cells``).
+    """
+
+    series_inductance: float | np.ndarray
+    shunt_capacitance: float | np.ndarray
 
     def __post_init__(self):
-        if self.series_inductance < 0 or self.shunt_capacitance < 0:
+        if (np.less(self.series_inductance, 0.0).any()
+                or np.less(self.shunt_capacitance, 0.0).any()):
             raise ConfigurationError("cell immittances cannot be negative")
 
 
@@ -192,8 +202,10 @@ class DispersionCurve:
 class CascadedAbcd:
     """Total chain matrix per frequency, stored as matrices * exp(log_scale).
 
-    log_scale is zero wherever the entries cannot overflow, in which case
-    ``matrices`` is the plain ABCD product.
+    ``matrices`` has shape (..., F, 2, 2) and ``log_scale`` (..., F), with
+    the cells' device axis in front.  log_scale is zero wherever the
+    entries cannot overflow, in which case ``matrices`` is the plain ABCD
+    product.
     """
 
     matrices: np.ndarray
@@ -239,22 +251,32 @@ def build_cells(
     return unloaded, loaded
 
 
+def stack_cells(pairs) -> tuple[CellImmittance, CellImmittance]:
+    """Per-device (unloaded, loaded) pairs as one (unloaded, loaded) pair
+    of (B,) immittance arrays."""
+    return tuple(
+        CellImmittance(np.array([c.series_inductance for c in cells]),
+                       np.array([c.shunt_capacitance for c in cells]))
+        for cells in zip(*pairs)
+    )
+
+
 def cell_abcd(cell: CellImmittance, freq) -> np.ndarray:
     """ABCD matrix of one L-section cell, series jwL then shunt jwC.
 
-    Returns shape (2, 2) for scalar frequency, else (F, 2, 2).
+    Returns shape cell shape + freq shape + (2, 2): (2, 2) for one device
+    at one frequency, (B, F, 2, 2) for a batch of B devices on F
+    frequencies.
     """
-    freq = np.asarray(freq, dtype=float)
-    scalar = freq.ndim == 0
-    w = 2.0 * np.pi * np.atleast_1d(freq)
-    out = np.empty(w.shape + (2, 2), dtype=complex)
-    wl = w * cell.series_inductance
-    wc = w * cell.shunt_capacitance
-    out[:, 0, 0] = 1.0 - wl * wc
-    out[:, 0, 1] = 1j * wl
-    out[:, 1, 0] = 1j * wc
-    out[:, 1, 1] = 1.0
-    return out[0] if scalar else out
+    w = 2.0 * np.pi * np.asarray(freq, dtype=float)
+    wl = np.multiply.outer(cell.series_inductance, w)
+    wc = np.multiply.outer(cell.shunt_capacitance, w)
+    out = np.empty(wl.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1.0 - wl * wc
+    out[..., 0, 1] = 1j * wl
+    out[..., 1, 0] = 1j * wc
+    out[..., 1, 1] = 1.0
+    return out
 
 
 #: Stopband growth n Re(t) above which cascade() moves exp((n-1) Re t) into
@@ -264,6 +286,13 @@ _LOG_SCALE_ONSET = 300.0
 
 def cascade(p: DeviceParams, grid: FrequencyGrid, cells) -> CascadedAbcd:
     """Total ABCD of the periodic chain, (U^(P-1) L)^(N/P) per frequency.
+
+    ``cells`` is the (unloaded, loaded) pair.  With (B,) immittance arrays
+    (``stack_cells``) it describes B devices that share p's pitch and cell
+    count, and the result has shape (B, F, 2, 2) with a (B, F) log_scale;
+    scalar immittances give (F, 2, 2) and (F,).  Every element goes through
+    the same operations whatever the batch size, so a device's chain matrix
+    does not depend on the batch it was computed in.
 
     The macrocell M = U^(P-1) L is unimodular, so with n = N/P and
     x = tr M / 2 = cosh t its power is M^n = U_{n-1}(x) M - U_{n-2}(x) I,
@@ -283,7 +312,7 @@ def cascade(p: DeviceParams, grid: FrequencyGrid, cells) -> CascadedAbcd:
     macro = np.linalg.matrix_power(cell_abcd(unloaded, freqs), pitch - 1)
     macro = macro @ cell_abcd(loaded, freqs)
 
-    x = 0.5 * (macro[:, 0, 0] + macro[:, 1, 1])
+    x = 0.5 * (macro[..., 0, 0] + macro[..., 1, 1])
     sign = np.where(x.real < 0, -1.0, 1.0)
     t = np.arccosh(sign * x)
     log_scale = np.where(n * t.real > _LOG_SCALE_ONSET, (n - 1) * t.real, 0.0)
@@ -298,9 +327,9 @@ def cascade(p: DeviceParams, grid: FrequencyGrid, cells) -> CascadedAbcd:
         return np.where(edge, k, scaled / sinh_t)
 
     shift = sign**n * chebyshev_u(n - 1)
-    macro *= (sign ** (n - 1) * chebyshev_u(n))[:, None, None]
-    macro[:, 0, 0] -= shift
-    macro[:, 1, 1] -= shift
+    macro *= (sign ** (n - 1) * chebyshev_u(n))[..., None, None]
+    macro[..., 0, 0] -= shift
+    macro[..., 1, 1] -= shift
     return CascadedAbcd(matrices=macro, log_scale=log_scale)
 
 
@@ -312,7 +341,8 @@ def abcd_to_s(abcd: np.ndarray, z0: float, log_scale=None, det=None):
     optionally supplies the true chain determinant; passing 1.0 for a
     cascade of analytically unimodular cells keeps S12 equal to S21 at
     rounding level even where the float determinant of a huge-entry matrix
-    would be meaningless.  Returns (s11, s21, s12, s22).
+    would be meaningless.  Works on any leading shape, e.g. (B, F, 2, 2)
+    for a batch of devices.  Returns (s11, s21, s12, s22).
     """
     if not z0 > 0:
         raise ValueError("reference impedance must be positive")
@@ -322,9 +352,10 @@ def abcd_to_s(abcd: np.ndarray, z0: float, log_scale=None, det=None):
     c = abcd[..., 1, 0]
     d = abcd[..., 1, 1]
     delta = a + b / z0 + c * z0 + d
-    singular = np.nonzero(delta == 0)[0] if delta.ndim else (delta == 0)
     if np.any(delta == 0):
-        raise ValueError(f"singular conversion denominator at indices {singular}")
+        axes = {1: "frequency ", 2: "(device, frequency) "}.get(delta.ndim, "")
+        raise ValueError(f"singular conversion denominator at {axes}indices "
+                         f"{np.argwhere(delta == 0).tolist()}")
 
     s11 = (a + b / z0 - c * z0 - d) / delta
     s22 = (-a + b / z0 - c * z0 + d) / delta
@@ -339,39 +370,63 @@ def abcd_to_s(abcd: np.ndarray, z0: float, log_scale=None, det=None):
     return s11, s21, s12, s22
 
 
+def linear_sparams(devices, fluxes, grid: FrequencyGrid, cfg: CellConfig):
+    """(s11, s21, s12, s22), each (B, F), of B devices at their flux biases.
+
+    The devices must share pitch and cell count; they go through one
+    cascade and one ABCD to S conversion.  Nothing is validated here, see
+    ``validated_response``.
+    """
+    shape = {(p.pitch, p.cell_count) for p in devices}
+    if len(shape) != 1:
+        raise ValueError(f"a batch needs one (pitch, cell count), got {shape}")
+    cells = stack_cells(
+        [build_cells(p, f, cfg) for p, f in zip(devices, fluxes)])
+    total = cascade(devices[0], grid, cells)
+    try:
+        return abcd_to_s(
+            total.matrices, cfg.ref_impedance, log_scale=total.log_scale, det=1.0
+        )
+    except ValueError as exc:
+        raise SimulationError(str(exc)) from exc
+
+
+def validated_response(freqs, sparams, row: int, z0: float) -> TwoPortResponse:
+    """Device ``row`` of batched S-parameters, checked by ``validate``."""
+    s11, s21, s12, s22 = (s[row] for s in sparams)
+    resp = TwoPortResponse(
+        freqs=freqs, s11=s11, s21=s21, s12=s12, s22=s22, ref_impedance=z0)
+    resp.validate()
+    return resp
+
+
 def simulate_linear(
     p: DeviceParams, flux_ext: float, grid: FrequencyGrid, cfg: CellConfig
 ) -> TwoPortResponse:
     """Linear S-parameters of the device at a flux bias (Phi0).
 
-    Deterministic: identical inputs produce bit-identical responses.
+    A batch of one through ``linear_sparams``.  Deterministic: identical
+    inputs produce bit-identical responses, alone or in any batch.
     """
-    cells = build_cells(p, flux_ext, cfg)
-    total = cascade(p, grid, cells)
-    try:
-        s11, s21, s12, s22 = abcd_to_s(
-            total.matrices, cfg.ref_impedance, log_scale=total.log_scale, det=1.0
-        )
-    except ValueError as exc:
-        raise SimulationError(str(exc)) from exc
-    resp = TwoPortResponse(
-        freqs=grid.freqs(),
-        s11=s11,
-        s21=s21,
-        s12=s12,
-        s22=s22,
-        ref_impedance=cfg.ref_impedance,
-    )
-    resp.validate()
-    return resp
+    sparams = linear_sparams([p], [flux_ext], grid, cfg)
+    return validated_response(grid.freqs(), sparams, 0, cfg.ref_impedance)
+
+
+def wavenumbers(freqs, s21, n_cells: int) -> np.ndarray:
+    """k(f) = -unwrap(arg S21) / N in rad/cell along the last axis of s21.
+
+    The frequency grid must start at DC, which anchors the unwrapping.  Any
+    leading shape is kept, so a batch of devices unwraps in one call.
+    """
+    if freqs.size == 0 or freqs[0] != 0.0:
+        raise ValueError("dispersion extraction requires a DC-anchored grid")
+    if n_cells <= 0:
+        raise ValueError("cell count must be positive")
+    phase = np.unwrap(np.angle(s21), axis=-1)
+    return -phase / float(n_cells) + 0.0  # +0.0 normalizes -0.0 at DC
 
 
 def dispersion(resp: TwoPortResponse, n_cells: int) -> DispersionCurve:
     """Per-cell dispersion k(f) = -arg(S21)/N with DC-anchored unwrapping."""
-    if resp.freqs.size == 0 or resp.freqs[0] != 0.0:
-        raise ValueError("dispersion extraction requires a DC-anchored grid")
-    if n_cells <= 0:
-        raise ValueError("cell count must be positive")
-    phase = np.unwrap(np.angle(resp.s21))
-    k = -phase / float(n_cells) + 0.0  # +0.0 normalizes -0.0 at DC
-    return DispersionCurve(freqs=resp.freqs, k=k)
+    return DispersionCurve(
+        freqs=resp.freqs, k=wavenumbers(resp.freqs, resp.s21, n_cells))

@@ -9,6 +9,8 @@ gain, plus a pure reporting step that re-emits plot-ready tables.
 from __future__ import annotations
 
 import os
+import socket
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -118,21 +120,42 @@ class RunPaths:
 
 
 class RunLock:
-    """Exclusive run-directory ownership via an O_EXCL lock file."""
+    """Exclusive run-directory ownership via an O_EXCL lock file.
+
+    The file holds the owner's PID and hostname.  A lock left by a process
+    on this host that no longer exists is reclaimed; any other lock is
+    refused.
+    """
 
     def __init__(self, paths: RunPaths):
         self.path = paths.lock
         self._fh = None
 
+    def _owner_is_dead(self) -> bool:
+        try:
+            with open(self.path) as fh:
+                pid, _, host = fh.read().strip().partition(" ")
+            if host != socket.gethostname():
+                return False
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError):
+            pass
+        return False
+
     def __enter__(self):
         try:
             self._fh = open(self.path, "x")
         except FileExistsError:
-            raise PipelineError(
-                f"run directory is locked by another process; remove "
-                f"{self.path} if that run is no longer alive"
-            ) from None
-        self._fh.write(f"{os.getpid()}\n")
+            if not self._owner_is_dead():
+                raise PipelineError(
+                    f"run directory is locked by another process; remove "
+                    f"{self.path} if that run is no longer alive"
+                ) from None
+            os.unlink(self.path)
+            return self.__enter__()
+        self._fh.write(f"{os.getpid()} {socket.gethostname()}\n")
         self._fh.flush()
         return self
 
@@ -202,25 +225,29 @@ def prepare_run_dir(config_path, cfg: RunConfig, force: bool = False):
     return paths, manifest
 
 
-def _stage_begin(paths, manifest, name, **extra):
+def _stage_begin(paths, manifest, name, **extra) -> float:
+    """Mark a stage running; returns its perf_counter start for elapsed_s."""
     manifest["stages"][name] = {
         "status": "running",
         "started_utc": _utcnow(),
         **extra,
     }
     _save_manifest(paths, manifest)
+    return time.perf_counter()
 
 
-def _stage_finish(paths, manifest, name, outputs, **extra):
+def _stage_finish(paths, manifest, name, started, outputs, **extra):
     stage = manifest["stages"][name]
     stage.update(status="complete", finished_utc=_utcnow(),
+                 elapsed_s=time.perf_counter() - started,
                  outputs=list(outputs), **extra)
     _save_manifest(paths, manifest)
 
 
-def _stage_fail(paths, manifest, name, exc):
+def _stage_fail(paths, manifest, name, started, exc):
     manifest["stages"][name].update(
         status="failed", finished_utc=_utcnow(),
+        elapsed_s=time.perf_counter() - started,
         error=f"{type(exc).__name__}: {exc}")
     _save_manifest(paths, manifest)
 
@@ -243,7 +270,7 @@ def _sweep_config(cfg: RunConfig) -> SweepConfig:
 def run_stage1(cfg: RunConfig, paths: RunPaths, manifest: dict,
                workers: int = 1, progress=None) -> int:
     """Grid sweep -> records CSV + analysis JSON.  Returns failed-row count."""
-    _stage_begin(paths, manifest, "stage1", workers=workers)
+    started = _stage_begin(paths, manifest, "stage1", workers=workers)
     try:
         records = run_sweep(
             cfg.grid, _sweep_config(cfg), cfg.metric,
@@ -254,11 +281,11 @@ def run_stage1(cfg: RunConfig, paths: RunPaths, manifest: dict,
         analysis = build_analysis(cfg.grid, records, cfg.metric.cutoff)
         write_json(paths.stage1_analysis, analysis.to_document())
     except Exception as exc:
-        _stage_fail(paths, manifest, "stage1", exc)
+        _stage_fail(paths, manifest, "stage1", started, exc)
         raise
     failed = sum(1 for r in records if r.failed)
     _stage_finish(
-        paths, manifest, "stage1",
+        paths, manifest, "stage1", started,
         ["stage1_records.csv", "stage1_analysis.json",
          "stage1_checkpoint.jsonl"],
         grid_points=cfg.grid.size, failed_points=failed)
@@ -338,8 +365,8 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
         warm = [(params, metric)
                 for params, metric, _failed in read_records_csv(stage1_csv)]
 
-    _stage_begin(paths, manifest, "optimize", seed=seed, budget=budget,
-                 cold_start=cold_start)
+    started = _stage_begin(paths, manifest, "optimize", seed=seed,
+                           budget=budget, cold_start=cold_start)
     try:
         space = build_search_space(cfg)
         try:
@@ -374,9 +401,9 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
         }
         write_json(paths.pstar_json, doc)
     except Exception as exc:
-        _stage_fail(paths, manifest, "optimize", exc)
+        _stage_fail(paths, manifest, "optimize", started, exc)
         raise
-    _stage_finish(paths, manifest, "optimize",
+    _stage_finish(paths, manifest, "optimize", started,
                   ["optimize_trace.csv", "pstar.json"],
                   inputs=[os.path.basename(stage1_csv)] if warm else [])
     return doc
@@ -418,8 +445,8 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
         raise ConfigError(f"p* file {pstar_path} not found; run optimize first")
     pstar_doc = read_json(pstar_path)
 
-    _stage_begin(paths, manifest, "stage3",
-                 inputs=[os.path.basename(pstar_path)])
+    started = _stage_begin(paths, manifest, "stage3",
+                           inputs=[os.path.basename(pstar_path)])
     try:
         device = _device_from_doc(pstar_doc)
         junction = JunctionSpec(device.junction_area, device.current_density)
@@ -471,9 +498,9 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
         }
         write_json(paths.qstar_json, qstar_doc)
     except Exception as exc:
-        _stage_fail(paths, manifest, "stage3", exc)
+        _stage_fail(paths, manifest, "stage3", started, exc)
         raise
-    _stage_finish(paths, manifest, "stage3", outputs,
+    _stage_finish(paths, manifest, "stage3", started, outputs,
                   failed_drive_points=qstar_doc["n_failed_drive_points"])
     return qstar_doc
 
@@ -485,7 +512,7 @@ def run_report(cfg: RunConfig, paths: RunPaths, manifest: dict) -> list:
             raise PipelineError(
                 f"report needs {required}; run the earlier stages first")
 
-    _stage_begin(paths, manifest, "report")
+    started = _stage_begin(paths, manifest, "report")
     try:
         os.makedirs(paths.report_dir, exist_ok=True)
         pstar_doc = read_json(paths.pstar_json)
@@ -522,9 +549,9 @@ def run_report(cfg: RunConfig, paths: RunPaths, manifest: dict) -> list:
                 atomic_write_text(paths.report_file("gain_qstar.csv"), fh.read())
             outputs.append("report/gain_qstar.csv")
     except Exception as exc:
-        _stage_fail(paths, manifest, "report", exc)
+        _stage_fail(paths, manifest, "report", started, exc)
         raise
-    _stage_finish(paths, manifest, "report", outputs)
+    _stage_finish(paths, manifest, "report", started, outputs)
     return outputs
 
 

@@ -4,7 +4,9 @@ The grid spans seven dimensions (junction area, current density, alpha,
 dielectric thickness, the two load ratios, pitch) enumerated
 lexicographically with the first dimension slowest.  Every point is biased
 at its own Kerr-free flux, simulated, scored, and appended to a checkpoint
-so an interrupted sweep resumes without recomputation.
+so an interrupted sweep resumes without recomputation.  Points are
+simulated CHUNK_POINTS at a time, each pitch in a chunk as one batch; a
+point's record does not depend on the batch it was computed in.
 
 Analysis helpers reduce the record table to a Pearson correlation matrix
 and per-dimension histograms weighted by inverse metric, both over the
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import itertools
 import json
 import math
 import time
@@ -28,15 +31,21 @@ from .metric import MetricBreakdown, MetricConfig, evaluate_metric
 from .network import (
     CellConfig,
     DeviceParams,
+    DispersionCurve,
     FrequencyGrid,
-    dispersion,
-    simulate_linear,
+    linear_sparams,
+    validated_response,
+    wavenumbers,
 )
 from .snail import kerr_free_flux
 
 #: Grid dimensions in canonical order; also the parameter column order of
 #: every artifact that carries device parameters.
 DIMENSION_NAMES = ("A_J", "rho_Ic", "alpha", "t", "L_load", "C_load", "pitch")
+
+#: Consecutive pending points simulated together by run_sweep.  Larger
+#: chunks save little time and hold more (chunk x frequency) arrays.
+CHUNK_POINTS = 16
 
 #: Stage-1 CSV header.
 CSV_COLUMNS = (
@@ -150,10 +159,9 @@ def device_from_values(values, cell_count: int) -> DeviceParams:
 
 def enumerate_grid(grid: ParameterGrid, cell_count: int) -> list[DeviceParams]:
     """All grid points in lexicographic order (first dimension slowest)."""
-    return [
-        device_from_values(grid.point_values(i), cell_count)
-        for i in range(grid.size)
-    ]
+    axes = [[float(v) for v in d.values()] for d in grid.dims()]
+    return [device_from_values(values, cell_count)
+            for values in itertools.product(*axes)]
 
 
 @dataclass(frozen=True)
@@ -188,27 +196,82 @@ def metric_frequency_grid(grid: FrequencyGrid, pump_freq: float) -> FrequencyGri
     return FrequencyGrid(start=grid.start, stop=stop, step=grid.step)
 
 
+def _evaluate_batch(
+    points: list[DeviceParams],
+    fluxes: list[float],
+    sweep_cfg: SweepConfig,
+    metric_cfg: MetricConfig,
+) -> list[MetricBreakdown | Exception]:
+    """Simulate and score devices that share pitch and cell count.
+
+    One cascade, one ABCD to S conversion and one phase unwrap serve the
+    whole batch; each row is then validated and scored on its own.
+    Returns a breakdown or the raised exception per device.  When the
+    batched simulation raises, each device is redone as a batch of one, so
+    a failing point fails alone and with the message it gets on its own.
+    """
+    grid = metric_frequency_grid(sweep_cfg.freq_grid, metric_cfg.pump_freq)
+    freqs = grid.freqs()
+    try:
+        sparams = linear_sparams(points, fluxes, grid, sweep_cfg.cell)
+        k = wavenumbers(freqs, sparams[1], points[0].cell_count)
+    except Exception as exc:
+        if len(points) == 1:
+            return [exc]
+        return [result for p, f in zip(points, fluxes)
+                for result in _evaluate_batch([p], [f], sweep_cfg, metric_cfg)]
+
+    results: list[MetricBreakdown | Exception] = []
+    for row in range(len(points)):
+        try:  # individual failures must not abort the sweep
+            resp = validated_response(
+                freqs, sparams, row, sweep_cfg.cell.ref_impedance)
+            disp = DispersionCurve(freqs=freqs, k=k[row])
+            results.append(evaluate_metric(resp, disp, metric_cfg))
+        except Exception as exc:
+            results.append(exc)
+    return results
+
+
 def evaluate_point(
     params: DeviceParams,
     flux_ext: float,
     sweep_cfg: SweepConfig,
     metric_cfg: MetricConfig,
 ) -> MetricBreakdown:
-    """Simulate one device at its flux bias and score it."""
-    grid = metric_frequency_grid(sweep_cfg.freq_grid, metric_cfg.pump_freq)
-    resp = simulate_linear(params, flux_ext, grid, sweep_cfg.cell)
-    disp = dispersion(resp, params.cell_count)
-    return evaluate_metric(resp, disp, metric_cfg)
+    """Simulate one device at its flux bias and score it: a batch of one."""
+    (result,) = _evaluate_batch([params], [flux_ext], sweep_cfg, metric_cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _run_point(args):
-    index, params, flux, sweep_cfg, metric_cfg = args
+def _run_chunk(args):
+    """(index, breakdown, error, wall time) per point of one chunk.
+
+    The chunk's points are batched by pitch; each record's wall time is
+    the chunk's time divided by its size.
+    """
+    indices, points, fluxes, sweep_cfg, metric_cfg = args
     t0 = time.perf_counter()
-    try:
-        breakdown = evaluate_point(params, flux, sweep_cfg, metric_cfg)
-        return index, breakdown, "", time.perf_counter() - t0
-    except Exception as exc:  # individual failures must not abort the sweep
-        return index, None, f"{type(exc).__name__}: {exc}", time.perf_counter() - t0
+    results = {}
+    groups: dict[int, list[int]] = {}
+    for j, p in enumerate(points):
+        groups.setdefault(p.pitch, []).append(j)
+    for members in groups.values():
+        outcomes = _evaluate_batch(
+            [points[j] for j in members], [fluxes[j] for j in members],
+            sweep_cfg, metric_cfg)
+        results.update(zip(members, outcomes))
+    wall = (time.perf_counter() - t0) / len(points)
+    out = []
+    for j, index in enumerate(indices):
+        result = results[j]
+        if isinstance(result, Exception):
+            out.append((index, None, f"{type(result).__name__}: {result}", wall))
+        else:
+            out.append((index, result, "", wall))
+    return out
 
 
 def _checkpoint_line(rec: SweepRecord) -> str:
@@ -295,10 +358,13 @@ def run_sweep(
 ) -> list[SweepRecord]:
     """Evaluate every grid point; returns records in grid order.
 
-    The metric values are a pure function of (grid, configs); the only
-    non-deterministic field is the measured wall time per point.  With a
-    checkpoint path, completed points are appended as JSON lines and an
-    interrupted sweep resumes exactly where it stopped.
+    Pending points go CHUNK_POINTS at a time through _run_chunk (mapped
+    over ``workers`` processes when there are several).  The metric values
+    are a pure function of (grid, configs), whatever the chunking; the only
+    non-deterministic field is the wall time, each chunk's time divided by
+    its size.  With a checkpoint path, completed points are appended as one
+    JSON line each and an interrupted sweep resumes exactly where it
+    stopped.
     """
     points = enumerate_grid(grid, sweep_cfg.cell_count)
     fluxes = [kerr_free_flux(p.alpha) for p in points]
@@ -308,8 +374,10 @@ def run_sweep(
 
     records: dict[int, SweepRecord] = dict(done)
     tasks = (
-        (i, points[i], fluxes[i], sweep_cfg, metric_cfg)
-        for i in pending
+        (chunk, [points[i] for i in chunk], [fluxes[i] for i in chunk],
+         sweep_cfg, metric_cfg)
+        for chunk in (pending[s:s + CHUNK_POINTS]
+                      for s in range(0, len(pending), CHUNK_POINTS))
     )
     with contextlib.ExitStack() as stack:
         ckpt_fh = None
@@ -322,10 +390,10 @@ def run_sweep(
         if workers > 1:
             pool = stack.enter_context(
                 concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_run_point, tasks, chunksize=8)
+            chunks = pool.map(_run_chunk, tasks)
         else:
-            results = map(_run_point, tasks)
-        for index, breakdown, err, wall in results:
+            chunks = map(_run_chunk, tasks)
+        for index, breakdown, err, wall in itertools.chain.from_iterable(chunks):
             rec = SweepRecord(
                 index=index,
                 params=points[index],

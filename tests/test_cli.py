@@ -1,6 +1,10 @@
 """End-to-end CLI runs on a two-point config, exit codes, resume logic."""
 
 import json
+import os
+import socket
+import subprocess
+import sys
 
 import pytest
 from conftest import mini_config_doc
@@ -127,6 +131,34 @@ def test_locked_run_dir_refuses_second_writer(finished_run, capsys):
         assert "locked" in capsys.readouterr().err
     finally:
         lock.unlink()
+
+
+def test_lock_of_a_dead_process_is_reclaimed(finished_run):
+    config_path, run_dir = finished_run
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert exited.wait() == 0
+    lock = run_dir / "lock"
+    lock.write_text(f"{exited.pid} {socket.gethostname()}\n")
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    assert not lock.exists()
+
+
+def test_lock_of_a_live_process_refuses(finished_run, capsys):
+    config_path, run_dir = finished_run
+    lock = run_dir / "lock"
+    lock.write_text(f"{os.getpid()} {socket.gethostname()}\n")
+    try:
+        assert main(["pipeline", "--config", str(config_path)]) == 1
+        assert "locked" in capsys.readouterr().err
+    finally:
+        lock.unlink()
+
+
+def test_manifest_records_stage_times(finished_run):
+    _, run_dir = finished_run
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    for name, stage in manifest["stages"].items():
+        assert stage["elapsed_s"] >= 0.0, name
 
 
 def test_config_hash_mismatch_requires_force(tmp_path, capsys):

@@ -29,7 +29,9 @@ from twpaopt.network import (
     cell_abcd,
     dispersion,
     gate_capacitance,
+    linear_sparams,
     simulate_linear,
+    stack_cells,
 )
 from twpaopt.config import load_config
 from twpaopt.constants import VACUUM_PERMITTIVITY
@@ -182,6 +184,46 @@ def test_stopband_cascade_stays_finite_and_lossless():
     assert np.max(np.abs(s21)) < 1e-100
     power = np.abs(s11) ** 2 + np.abs(s21) ** 2
     np.testing.assert_allclose(power, 1.0, atol=1e-9)
+
+
+def test_batched_cascade_matches_each_device_alone():
+    # Three devices of one pitch and cell count, one of them deep enough in
+    # the stopband at the upper frequencies to take the log-scaled branch.
+    cells = [(CellImmittance(l, c), CellImmittance(1.5 * l, 1.2 * c))
+             for l, c in ((0.6e-9, 0.3e-12), (2.5e-9, 1.0e-12),
+                          (1.1e-9, 0.5e-12))]
+    device = dummy_device(pitch=3, cell_count=3 << 12)
+    grid = FrequencyGrid(0.0, 20e9, 0.25e9)
+    batch = cascade(device, grid, stack_cells(cells))
+    assert batch.matrices.shape == (3, grid.points, 2, 2)
+    assert batch.log_scale.shape == (3, grid.points)
+    assert np.any(batch.log_scale > 0.0)
+    s_batch = abcd_to_s(batch.matrices, 50.0, log_scale=batch.log_scale,
+                        det=1.0)
+    for b, pair in enumerate(cells):
+        alone = cascade(device, grid, pair)
+        np.testing.assert_array_equal(batch.matrices[b], alone.matrices)
+        np.testing.assert_array_equal(batch.log_scale[b], alone.log_scale)
+        s_alone = abcd_to_s(alone.matrices, 50.0, log_scale=alone.log_scale,
+                            det=1.0)
+        for ours, theirs in zip(s_batch, s_alone):
+            np.testing.assert_array_equal(ours[b], theirs)
+
+
+def test_abcd_to_s_names_the_singular_device_and_frequency():
+    abcd = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)).copy()
+    abcd[1, 2] = np.diag([1.0, -1.0])  # A + B/Z0 + C Z0 + D = 0
+    where = r"\(device, frequency\) indices \[\[1, 2\]\]"
+    with pytest.raises(ValueError, match=where):
+        abcd_to_s(abcd, 50.0)
+
+
+def test_linear_sparams_rejects_mixed_pitch():
+    cfg = CellConfig()
+    devices = [dummy_device(pitch=2, cell_count=12),
+               dummy_device(pitch=3, cell_count=12)]
+    with pytest.raises(ValueError, match="one \\(pitch, cell count\\)"):
+        linear_sparams(devices, [0.3, 0.3], FrequencyGrid(0.0, 1e9, 1e9), cfg)
 
 
 def test_cascaded_abcd_plain_reconstruction():

@@ -12,9 +12,11 @@ from oracles import (
     potential_derivative_fd,
     snail_potential_normalized,
 )
+import twpaopt.snail as snail
 from twpaopt.constants import REDUCED_FLUX_QUANTUM
 from twpaopt.snail import (
     JunctionSpec,
+    MinimumNotFoundError,
     NoKerrFreePointError,
     PotentialExpansion,
     SnailSpec,
@@ -167,6 +169,78 @@ def test_kerr_free_flux_exists_with_live_cubic_term(alpha):
     exp = expand_potential(make_spec(alpha=alpha, flux=flux))
     assert exp.c2 > 0
     assert abs(exp.c3) > 1e-6 * exp.c2  # three-wave mixing survives the bias
+
+
+#: Kerr-free bias from the scalar scan (a brentq minimum search at each of
+#: the 2000 scan fluxes), as hex floats, at 25 alphas spread evenly over
+#: [0.03, 0.5]; None where c4 never changes sign.
+SCAN_ALPHAS = np.linspace(0.03, 0.5, 25)
+SCALAR_SCAN_FLUX = (
+    None,
+    "0x1.997fc912f1aa1p-2",
+    "0x1.7883061d2f1abp-2",
+    "0x1.6d6b177f7ced9p-2",
+    "0x1.6a73c2276c8b5p-2",
+    "0x1.6b8e7a7851eb9p-2",
+    "0x1.6f068236c8b43p-2",
+    "0x1.7401146d0e561p-2",
+    "0x1.7a03ea69fbe75p-2",
+    "0x1.80c5463ced919p-2",
+    "0x1.881623c51eb85p-2",
+    "0x1.8fd7418fdf3b5p-2",
+    "0x1.97f32e1810625p-2",
+    "0x1.a05adaf126e97p-2",
+    "0x1.a9038af851eb7p-2",
+    "0x1.b1e5855cac085p-2",
+    "0x1.bafb3d5a9fbe7p-2",
+    "0x1.c440c1ff7ced9p-2",
+    "0x1.cdb35be0c49bbp-2",
+    "0x1.d7514906a7efap-2",
+    "0x1.e1198d4f5c28fp-2",
+    "0x1.eb0bd11810625p-2",
+    "0x1.f5284a1e353f7p-2",
+    "0x1.ff6fabfd70a3fp-2",
+    None,
+)
+
+
+@pytest.mark.parametrize("alpha,expected", zip(SCAN_ALPHAS, SCALAR_SCAN_FLUX))
+def test_vectorized_scan_picks_the_scalar_well_and_bracket(alpha, expected):
+    alpha = float(alpha)
+    fluxes = np.linspace(0.0, 0.5, snail._KERR_FREE_SCAN_POINTS + 1)[1:]
+    phi = snail._phase_minima(alpha, fluxes)
+    sign = np.sign(snail._u4(alpha, snail.TWO_PI * fluxes, phi))
+
+    # Same well as the scalar minimum search, and the same c4 sign.
+    sample = np.arange(0, fluxes.size, 16)
+    scalar = [snail._expansion_normalized(alpha, float(fluxes[j]))
+              for j in sample]
+    np.testing.assert_allclose(phi[sample], [e[0] for e in scalar],
+                               rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(sign[sample],
+                                  np.sign([e[3] for e in scalar]))
+
+    changes = np.nonzero(np.diff(sign))[0]
+    if expected is None:
+        assert changes.size == 0
+        with pytest.raises(NoKerrFreePointError):
+            kerr_free_flux(alpha)
+        return
+    # Same bracket as the scalar scan, hence bitwise the same bisection.
+    i = int(changes[0])
+    for j in (i, i + 1):
+        c4 = snail._expansion_normalized(alpha, float(fluxes[j]))[3]
+        assert np.sign(c4) == sign[j]
+    assert fluxes[i] < float.fromhex(expected) < fluxes[i + 1]
+    assert kerr_free_flux(alpha) == float.fromhex(expected)
+
+
+def test_scan_rejects_a_minimum_that_does_not_converge(monkeypatch):
+    # Without Newton steps the grid minimum is off by up to half a grid step.
+    monkeypatch.setattr(snail, "_SCAN_NEWTON_STEPS", 0)
+    snail._kerr_free_flux_normalized.cache_clear()
+    with pytest.raises(MinimumNotFoundError, match="minimum search failed"):
+        kerr_free_flux(0.23)
 
 
 def test_kerr_free_flux_alpha_validation():

@@ -1,11 +1,23 @@
 """Grid enumeration, checkpointed sweep, record analysis."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import twpaopt.network as network_mod
 import twpaopt.sweep as sweep_mod
+from twpaopt.config import load_config
 from twpaopt.metric import MetricBreakdown, MetricConfig
-from twpaopt.network import CellConfig, FrequencyGrid
+from twpaopt.network import (
+    CellConfig,
+    ConfigurationError,
+    FrequencyGrid,
+    build_cells,
+    cell_abcd,
+    simulate_linear,
+)
+from twpaopt.snail import kerr_free_flux
 from twpaopt.sweep import (
     CSV_COLUMNS,
     DIMENSION_NAMES,
@@ -17,6 +29,7 @@ from twpaopt.sweep import (
     correlation_matrix,
     device_from_values,
     enumerate_grid,
+    evaluate_point,
     filter_by_cutoff,
     load_checkpoint,
     metric_frequency_grid,
@@ -26,6 +39,8 @@ from twpaopt.sweep import (
     weighted_histograms,
     write_records_csv,
 )
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
 METRIC = MetricConfig(matching_mode="direct", band=(4.75e9, 6.75e9),
                       pump_freq=11.5e9)
@@ -76,6 +91,13 @@ def test_point_values_lexicographic_order():
         0.6, 1.5, 0.25, 20.0, 2.0, 1.5, 3.0)
     with pytest.raises(IndexError):
         grid.multi_index(grid.size)
+
+
+def test_enumerate_grid_matches_point_values():
+    grid = load_config(DESK_CONFIG).grid
+    points = enumerate_grid(grid, 120)
+    assert points == [device_from_values(grid.point_values(i), 120)
+                      for i in range(grid.size)]
 
 
 def test_multi_index_round_trip():
@@ -137,20 +159,119 @@ def test_run_sweep_checkpoint_resume(tmp_path):
 
 def test_run_sweep_flags_failures_without_aborting(tmp_path, monkeypatch):
     grid = tiny_grid()
-    real = sweep_mod.evaluate_point
+    sweep_cfg = tiny_sweep_cfg()
+    # The batched sweep scores each row through evaluate_metric; the
+    # poisoned row is recognised by its response, which does not depend on
+    # the batch.
+    target = next(p for p in enumerate_grid(grid, sweep_cfg.cell_count)
+                  if p.junction_area == 0.3 and p.capacitance_load_ratio == 1.0)
+    target_s11 = simulate_linear(
+        target, kerr_free_flux(target.alpha),
+        metric_frequency_grid(sweep_cfg.freq_grid, METRIC.pump_freq),
+        sweep_cfg.cell).s11
+    real = sweep_mod.evaluate_metric
 
-    def poisoned(params, flux, sweep_cfg, metric_cfg):
-        if params.junction_area == 0.3 and params.capacitance_load_ratio == 1.0:
+    def poisoned(resp, disp, metric_cfg):
+        if np.array_equal(resp.s11, target_s11):
             raise RuntimeError("injected failure")
-        return real(params, flux, sweep_cfg, metric_cfg)
+        return real(resp, disp, metric_cfg)
 
-    monkeypatch.setattr(sweep_mod, "evaluate_point", poisoned)
-    records = run_sweep(grid, tiny_sweep_cfg(), METRIC)
+    monkeypatch.setattr(sweep_mod, "evaluate_metric", poisoned)
+    records = run_sweep(grid, sweep_cfg, METRIC)
     failed = [r for r in records if r.failed]
     assert len(failed) == 1
     assert failed[0].metric_total == np.inf
     assert "injected failure" in failed[0].error
     assert sum(not r.failed for r in records) == grid.size - 1
+
+
+def mixed_grid():
+    """24 points over both pitches: one full chunk and a partial one."""
+    return ParameterGrid(
+        a_j=GridDimension("A_J", 0.3, 0.6, 0.3),
+        rho_ic=GridDimension("rho_Ic", 0.9, 0.9, 0.1),
+        alpha=GridDimension("alpha", 0.23, 0.25, 0.02),
+        t=GridDimension("t", 3.0, 9.0, 6.0),
+        l_load=GridDimension("L_load", 1.5, 1.5, 0.5),
+        c_load=GridDimension("C_load", 1.0, 1.5, 0.5),
+        pitch=GridDimension("pitch", 2.0, 3.0, 1.0),
+    )
+
+
+def record_fields(rec):
+    """Every record field but the wall time, floats exactly (repr)."""
+    return (rec.index, rec.params, repr(rec.flux_ext), repr(rec.breakdown),
+            rec.failed, rec.error)
+
+
+def pump_in_stopband(params, flux, sweep_cfg):
+    unloaded, loaded = build_cells(params, flux, sweep_cfg.cell)
+    macro = np.linalg.matrix_power(
+        cell_abcd(unloaded, METRIC.pump_freq), params.pitch - 1)
+    macro = macro @ cell_abcd(loaded, METRIC.pump_freq)
+    return abs(0.5 * (macro[0, 0] + macro[1, 1]).real) > 1.0
+
+
+def test_batched_sweep_matches_single_points():
+    grid, sweep_cfg = mixed_grid(), tiny_sweep_cfg()
+    assert grid.size > sweep_mod.CHUNK_POINTS
+    records = run_sweep(grid, sweep_cfg, METRIC)
+    assert not any(r.failed for r in records)
+    assert {r.params.pitch for r in records[:sweep_mod.CHUNK_POINTS]} == {2, 3}
+    assert any(pump_in_stopband(r.params, r.flux_ext, sweep_cfg)
+               for r in records)
+    assert not all(pump_in_stopband(r.params, r.flux_ext, sweep_cfg)
+                   for r in records)
+    for rec in records:
+        single = evaluate_point(rec.params, rec.flux_ext, sweep_cfg, METRIC)
+        assert repr(rec.breakdown) == repr(single)
+    # Chunks mapped over worker processes give the same records.
+    pooled = run_sweep(grid, sweep_cfg, METRIC, workers=2)
+    assert list(map(record_fields, pooled)) == list(map(record_fields, records))
+
+
+def test_batch_failure_fails_one_point_with_its_own_error(monkeypatch):
+    grid, sweep_cfg = mixed_grid(), tiny_sweep_cfg()
+    real = network_mod.build_cells
+
+    def poisoned(params, flux, cell_cfg):
+        if params.junction_area == 0.6 and params.dielectric_thickness == 3.0:
+            raise ConfigurationError("injected cell failure")
+        return real(params, flux, cell_cfg)
+
+    monkeypatch.setattr(network_mod, "build_cells", poisoned)
+    records = run_sweep(grid, sweep_cfg, METRIC)
+    failed = [r for r in records if r.failed]
+    assert len(failed) == 8  # both alphas, load ratios and pitches
+    for rec in failed:
+        with pytest.raises(ConfigurationError) as exc:
+            evaluate_point(rec.params, rec.flux_ext, sweep_cfg, METRIC)
+        assert rec.error == f"ConfigurationError: {exc.value}"
+    monkeypatch.undo()
+    clean = run_sweep(grid, sweep_cfg, METRIC)
+    for rec, ref in zip(records, clean):
+        if not rec.failed:
+            assert record_fields(rec) == record_fields(ref)
+
+
+def test_resume_inside_a_chunk_is_bitwise_equal(tmp_path):
+    grid, sweep_cfg = mixed_grid(), tiny_sweep_cfg()
+    ckpt = tmp_path / "checkpoint.jsonl"
+    full = run_sweep(grid, sweep_cfg, METRIC, checkpoint_path=ckpt)
+    lines = ckpt.read_text().splitlines()
+    assert len(lines) == grid.size
+
+    # Interrupted five records into the second chunk, mid-way through a line.
+    cut = sweep_mod.CHUNK_POINTS + 5
+    ckpt.write_text("\n".join(lines[:cut]) + "\n" + lines[cut][:30])
+    seen = []
+    resumed = run_sweep(grid, sweep_cfg, METRIC, checkpoint_path=ckpt,
+                        progress=lambda r: seen.append(r.index))
+    assert seen == list(range(cut, grid.size))
+    assert list(map(record_fields, resumed)) == list(map(record_fields, full))
+    reloaded = load_checkpoint(ckpt, enumerate_grid(grid, sweep_cfg.cell_count))
+    assert [record_fields(reloaded[i]) for i in range(grid.size)] == list(
+        map(record_fields, full))
 
 
 def test_records_csv_round_trip(tmp_path):
