@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Bisect the pump drive of one device until band-mean gain hits a target.
+"""Solve for the pump drive of one device that meets a target band-mean gain.
 
 The default device is the optimizer output from the shipped desk run
 (0.49 um^2 junction at 0.9 uA/um^2, alpha 0.23, 9 nm dielectric, loads
 1.5 / 1.0, pitch 3, 360 cells) biased at its Kerr-free flux.  The search
-variable is the dimensionless drive xi = I_p / (2 I_c); with the default
-20 dB target it takes one RK4 solve at the xi 0.499 bracket, where the
-pump depletes, plus closed-form midpoints.
+variable is the dimensionless drive xi = I_p / (2 I_c), solved with
+``mixing.solve_working_point``: with the default 20 dB target the band
+mean reaches the target below the pump-depletion bound, so every gain
+profile of the root-find is closed form and nothing is integrated.  A
+target above the band mean at that bound brackets with xi 0.499 and
+integrates the columns that deplete the pump.
+
+Exit code 0 when the final band mean lies within --tol-db of the target,
+1 when the target is unreachable below xi 0.499 or missed.
 """
 
 import argparse
@@ -15,21 +21,16 @@ import sys
 import numpy as np
 
 from twpaopt.fileio import write_csv
-from twpaopt.mixing import GAIN_PROFILE_COLUMNS, DriveSpec, gain_profile, performance
-from twpaopt.network import (
-    CellConfig,
-    DeviceParams,
-    FrequencyGrid,
-    dispersion,
-    simulate_linear,
+from twpaopt.mixing import (
+    GAIN_PROFILE_COLUMNS,
+    DriveSpec,
+    UnreachableTargetError,
+    WorkingPointError,
+    bias_device,
+    solve_working_point,
 )
-from twpaopt.snail import (
-    JunctionSpec,
-    SnailSpec,
-    critical_current,
-    expand_potential,
-    kerr_free_flux,
-)
+from twpaopt.network import CellConfig, DeviceParams, FrequencyGrid
+from twpaopt.snail import JunctionSpec, critical_current, kerr_free_flux
 from twpaopt.sweep import metric_frequency_grid
 
 
@@ -58,8 +59,11 @@ def parse_args(argv=None):
                      metavar=("LO", "HI"))
     drv.add_argument("--signal-step-ghz", type=float, default=0.05)
     drv.add_argument("--target-db", type=float, default=20.0)
-    drv.add_argument("--tol-db", type=float, default=0.25)
-    drv.add_argument("--max-iter", type=int, default=40)
+    drv.add_argument("--tol-db", type=float, default=0.25,
+                     help="accept the final band mean this close to the "
+                          "target, dB")
+    drv.add_argument("--max-iter", type=int, default=40,
+                     help="iteration cap of the root-finder")
     ap.add_argument("--profile-out", default=None,
                     help="write the final gain profile CSV here "
                          "(17 significant digits)")
@@ -78,52 +82,44 @@ def main(argv=None):
         pitch=args.pitch,
         cell_count=args.cells,
     )
-    junction = JunctionSpec(device.junction_area, device.current_density)
-    i_c = critical_current(junction)
+    i_c = critical_current(
+        JunctionSpec(device.junction_area, device.current_density))
     flux = kerr_free_flux(device.alpha)
     pump = args.pump_ghz * 1e9
     band = tuple(b * 1e9 for b in args.band_ghz)
 
     grid = metric_frequency_grid(
         FrequencyGrid(0.0, max(24e9, band[1]), 1e7), pump)
-    resp = simulate_linear(device, flux, grid, CellConfig())
-    disp = dispersion(resp, device.cell_count)
-    expansion = expand_potential(
-        SnailSpec(small_junction=junction, alpha=device.alpha, flux_ext=flux))
+    biased = bias_device(device, flux, grid, CellConfig())
     print(f"I_c {i_c:.4g} uA, Kerr-free flux {flux:.6f} Phi_0")
 
     drive = DriveSpec(pump_freq=pump, signal_band=band,
                       signal_step=args.signal_step_ghz * 1e9)
-
-    def band_gain(xi):
-        profile = gain_profile(disp, expansion, drive,
-                               n_cells=device.cell_count, xi=xi)
-        return performance(profile), profile
-
-    lo, hi = 1e-3, 0.499
-    perf, profile = band_gain(hi)
-    print(f"bracket xi {hi:.4f}: {perf:.2f} dB")
-    if perf < args.target_db:
-        print(f"target {args.target_db} dB unreachable below xi {hi}, "
+    try:
+        sol = solve_working_point(
+            biased.dispersion, biased.expansion, drive, device.cell_count,
+            args.target_db, args.tol_db, args.max_iter)
+    except UnreachableTargetError as exc:
+        print(f"bracket xi {exc.xi:.4f}: {exc.band_mean_db:.2f} dB")
+        print(f"target {args.target_db} dB unreachable below xi {exc.xi}, "
               f"stopping at the bracket", file=sys.stderr)
         return 1
-    xi = hi
-    for it in range(args.max_iter):
-        xi = 0.5 * (lo + hi)
-        perf, profile = band_gain(xi)
-        print(f"iter {it + 1:2d}  xi {xi:.5f}  band mean {perf:7.3f} dB")
-        if abs(perf - args.target_db) < args.tol_db:
-            break
-        if perf < args.target_db:
-            lo = xi
-        else:
-            hi = xi
+    except WorkingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+    profile = sol.profile
+    lo, hi = sol.bracket
+    print(f"bracket xi {lo:.4f} .. {hi:.4f}, "
+          f"{sol.gain_profile_calls} gain profiles")
     i_peak = int(np.argmax(profile.gain_db))
-    print(f"working point: xi {xi:.5f} (pump {2.0 * i_c * xi:.4g} uA), "
-          f"band mean {perf:.3f} dB, peak {profile.gain_db[i_peak]:.3f} dB "
-          f"at {profile.freqs[i_peak] / 1e9:.3f} GHz, max pump depletion "
+    print(f"working point: xi {sol.xi:.5f} (pump {2.0 * i_c * sol.xi:.4g} uA), "
+          f"band mean {sol.band_mean_db:.3f} dB, peak "
+          f"{profile.gain_db[i_peak]:.3f} dB at "
+          f"{profile.freqs[i_peak] / 1e9:.3f} GHz, max pump depletion "
           f"{float(np.max(profile.pump_depletion)):.3e}")
+    print(f"ripple {sol.ripple_db:.3f} dB, -3 dB bandwidth "
+          f"{sol.bandwidth_hz / 1e9:.3f} GHz")
 
     if args.profile_out:
         write_csv(args.profile_out, GAIN_PROFILE_COLUMNS,

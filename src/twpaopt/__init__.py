@@ -21,11 +21,13 @@ from .mixing import (
     CmeInputs,
     DriveSpec,
     GainProfile,
+    bias_device,
     coupling_constant,
     gain_profile,
     integrate_cme,
     optimize_working_point,
     performance,
+    solve_working_point,
     undepleted_gain,
 )
 from .network import (
@@ -93,6 +95,7 @@ __all__ = [
     "TwoPortResponse",
     "abcd_to_s",
     "band_average",
+    "bias_device",
     "build_cells",
     "cascade",
     "cell_abcd",
@@ -121,6 +124,7 @@ __all__ = [
     "run_pipeline",
     "run_sweep",
     "simulate_linear",
+    "solve_working_point",
     "table_grid",
     "undepleted_gain",
     "write_touchstone",

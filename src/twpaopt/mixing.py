@@ -24,6 +24,13 @@ variable: ``gain_profile`` takes it directly, and ``optimize_working_point``
 turns a list of pump currents into one xi array and returns the index of
 the best.
 
+``solve_working_point`` finds the drive for a target band-mean gain
+instead.  Each tone's closed-form gain rises monotonically with xi, so the
+depletion bound -- the largest xi whose columns all stay in closed form --
+is one root of the closed form, and a target below the band mean there is
+solved with every evaluation in closed form.  Only a target above it
+brackets with the largest drive and integrates.
+
 Integration is fixed-step RK4 in the pump frame B_p = A_p exp(-i dk x):
 
     dA_s/dx = i kappa B_p conj(A_i)
@@ -47,20 +54,47 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .metric import band_average
-from .network import DispersionCurve, FrequencyGrid
-from .snail import PotentialExpansion
+from .network import (
+    CellConfig,
+    DeviceParams,
+    DispersionCurve,
+    FrequencyGrid,
+    TwoPortResponse,
+    dispersion,
+    simulate_linear,
+)
+from .snail import JunctionSpec, PotentialExpansion, SnailSpec, expand_potential
 
 RK4_STEP = 0.05
 SEED_RATIO = 1e-6
 HALVING_TOL = 1e-6
+#: Drive bracket (xi) of ``solve_working_point``.
+XI_BRACKET = (1e-3, 0.499)
 
 
 class AccuracyError(RuntimeError):
     """Step-halving disagreement above tolerance."""
+
+
+class WorkingPointError(RuntimeError):
+    """A drive solve that ends off its target; carries the drive it ended
+    at and that drive's band-mean gain."""
+
+    def __init__(self, message: str, xi: float, band_mean_db: float):
+        super().__init__(message)
+        self.xi = xi
+        self.band_mean_db = band_mean_db
+
+
+class UnreachableTargetError(WorkingPointError):
+    """The target band-mean gain lies above the gain at the top of the drive
+    bracket; ``xi`` is that bracket value."""
 
 
 @dataclass(frozen=True)
@@ -158,15 +192,57 @@ class WorkingPointResult:
     best: int
 
 
-def coupling_constant(
-    expansion: PotentialExpansion, xi: float, k_s: float, k_i: float
-) -> float:
-    """Three-wave coupling g0 = |c3| / (2 c2) * xi * sqrt(k_s k_i), rad/cell."""
+@dataclass
+class WorkingPointSolution:
+    """Drive that meets a target band-mean gain, and its figures of merit.
+
+    ``ripple_db`` is max - min of the in-band gain (dB), ``bandwidth_hz``
+    the -3 dB width around the gain peak, ``bracket`` the xi interval the
+    root-find ran on and ``gain_profile_calls`` the profiles computed.
+    """
+
+    xi: float
+    profile: GainProfile = field(repr=False)
+    band_mean_db: float
+    ripple_db: float
+    bandwidth_hz: float
+    bracket: tuple[float, float]
+    gain_profile_calls: int
+
+
+class BiasedDevice(NamedTuple):
+    """Linear response, dispersion and loop expansion at one flux bias."""
+
+    response: TwoPortResponse
+    dispersion: DispersionCurve
+    expansion: PotentialExpansion
+
+
+def bias_device(
+    device: DeviceParams, flux: float, grid: FrequencyGrid, cell: CellConfig
+) -> BiasedDevice:
+    """Simulate ``device`` at ``flux`` (Phi0) over ``grid`` and expand its
+    loop potential there: everything a gain computation needs."""
+    response = simulate_linear(device, flux, grid, cell)
+    junction = JunctionSpec(device.junction_area, device.current_density)
+    expansion = expand_potential(
+        SnailSpec(small_junction=junction, alpha=device.alpha, flux_ext=flux))
+    return BiasedDevice(response, dispersion(response, device.cell_count),
+                        expansion)
+
+
+def coupling_constant(expansion: PotentialExpansion, xi, k_s, k_i):
+    """Three-wave coupling g0 = |c3| / (2 c2) * xi * sqrt(k_s k_i), rad/cell.
+
+    ``xi``, ``k_s`` and ``k_i`` broadcast against each other; every xi must
+    lie in [0, 1).
+    """
     if not expansion.c2 > 0:
         raise ValueError("expansion must come from a stable minimum (c2 > 0)")
     if np.any(k_s < 0) or np.any(k_i < 0):
         raise ValueError("signal and idler wavenumbers must be non-negative")
-    if not 0.0 <= xi < 1.0:
+    xi = np.asarray(xi, dtype=float)
+    if not np.all((xi >= 0.0) & (xi < 1.0)):
         raise ValueError(f"normalized pump amplitude {xi} outside [0, 1)")
     return abs(expansion.c3) / (2.0 * expansion.c2) * xi * np.sqrt(k_s * k_i)
 
@@ -350,6 +426,18 @@ def signal_idler_grid(drive: DriveSpec) -> np.ndarray:
     return FrequencyGrid(lo, hi, drive.signal_step).freqs()
 
 
+def _tones(disp, drive):
+    """Signal tones of ``drive`` with their signal and idler wavenumbers and
+    the per-cell phase mismatch k_p - k_s - k_i."""
+    f_s = signal_idler_grid(drive)
+    k_s = disp.sample(f_s)
+    k_i = disp.sample(drive.pump_freq - f_s)
+    k_p = float(disp.sample(drive.pump_freq))
+    if np.any(k_s < 0) or np.any(k_i < 0):
+        raise ValueError("negative wavenumber in the signal band")
+    return f_s, k_s, k_i, k_p - k_s - k_i
+
+
 def _gain_profiles(disp, expansion, drive, n_cells, xis):
     """Gain profile, or the AccuracyError that rejects it, for each xi.
 
@@ -362,28 +450,20 @@ def _gain_profiles(disp, expansion, drive, n_cells, xis):
     columns of one _integrate call; the step-halving guard applies to each
     xi over its integrated columns.
     """
-    f_s = signal_idler_grid(drive)
-    f_i = drive.pump_freq - f_s
-    k_s = disp.sample(f_s)
-    k_i = disp.sample(f_i)
-    k_p = float(disp.sample(drive.pump_freq))
-    if np.any(k_s < 0) or np.any(k_i < 0):
-        raise ValueError("negative wavenumber in the signal band")
-
+    f_s, k_s, k_i, mismatch = _tones(disp, drive)
     zeros = np.zeros_like(f_s)
     flat = GainProfile(freqs=f_s, gain_db=zeros, pump_depletion=zeros)
-    driven = [xi for xi in xis if xi != 0.0]
-    if not driven:
+    driven = np.array([xi for xi in xis if xi != 0.0])
+    if not driven.size:
         return [flat for _ in xis]
 
-    g0 = np.array([coupling_constant(expansion, xi, k_s, k_i)
-                   for xi in driven])
-    delta_k = np.broadcast_to(k_p - k_s - k_i, g0.shape)
+    g0 = coupling_constant(expansion, driven[:, None], k_s, k_i)
+    delta_k = np.broadcast_to(mismatch, g0.shape)
     gain = undepleted_gain(g0, delta_k, n_cells)
     err = np.zeros_like(gain)
     depleted = ~(SEED_RATIO**2 * (gain - 1.0) <= HALVING_TOL)
     if np.any(depleted):
-        pump = np.broadcast_to(np.array(driven)[:, None], g0.shape)[depleted]
+        pump = np.broadcast_to(driven[:, None], g0.shape)[depleted]
         seed = SEED_RATIO * pump
         a0 = np.zeros((3, pump.size), dtype=complex)
         a0[0] = seed
@@ -487,3 +567,116 @@ def optimize_working_point(
     best = scored[int(np.argmax(performance_db[scored]))]
     return WorkingPointResult(xi=xi, performance_db=performance_db,
                               profiles=profiles, best=best)
+
+
+def bandwidth_3db(profile: GainProfile) -> float:
+    """Width (Hz) of the band around the gain peak where the gain stays
+    within 3 dB of the peak.
+
+    Each edge is interpolated linearly in dB between the last sample inside
+    and the first outside; where the gain stays within 3 dB up to the end
+    of the profile, that end is the edge.
+    """
+    f, g = profile.freqs, profile.gain_db
+    peak = int(np.argmax(g))
+    floor = g[peak] - 3.0
+    below = np.flatnonzero(g < floor)
+    left, right = below[below < peak], below[below > peak]
+
+    def crossing(inside, outside):
+        t = (g[inside] - floor) / (g[inside] - g[outside])
+        return f[inside] + t * (f[outside] - f[inside])
+
+    lo = crossing(left[-1] + 1, left[-1]) if left.size else f[0]
+    hi = crossing(right[0] - 1, right[0]) if right.size else f[-1]
+    return float(hi - lo)
+
+
+def _depletion_bound(disp, expansion, drive, n_cells, lo, hi):
+    """Largest xi in [lo, hi] at which no tone's predicted pump depletion
+    exceeds HALVING_TOL, so ``gain_profile`` stays in closed form.
+
+    Depletion SEED_RATIO^2 (G - 1) rises with xi for every tone, so the
+    bound is the root of the worst tone's excess over HALVING_TOL -- the
+    same comparison ``_gain_profiles`` makes per column.  brentq brackets
+    its root within 2 (xtol + rtol xi); a root estimate just past the bound
+    steps back by that much.
+    """
+    _f_s, k_s, k_i, mismatch = _tones(disp, drive)
+
+    def excess(xi):
+        gain = undepleted_gain(coupling_constant(expansion, xi, k_s, k_i),
+                               mismatch, n_cells)
+        return SEED_RATIO**2 * (float(np.max(gain)) - 1.0) - HALVING_TOL
+
+    if excess(hi) <= 0.0:
+        return hi
+    if excess(lo) > 0.0:
+        return lo
+    xtol, rtol = 1e-12, 4.0 * np.finfo(float).eps
+    xi = brentq(excess, lo, hi, xtol=xtol, rtol=rtol)
+    if excess(xi) > 0.0:
+        xi -= 2.0 * (xtol + rtol * xi)
+    return xi
+
+
+def solve_working_point(
+    disp: DispersionCurve,
+    expansion: PotentialExpansion,
+    drive: DriveSpec,
+    n_cells: int,
+    target_db: float,
+    tol_db: float,
+    max_iter: int,
+) -> WorkingPointSolution:
+    """Drive xi in XI_BRACKET whose band-mean gain equals ``target_db``.
+
+    Band-mean gain rises monotonically with xi.  Below the depletion bound
+    every profile is closed form, so when the band mean there reaches the
+    target, brentq runs on [XI_BRACKET[0], bound] with no integration.
+    Otherwise the top of the bracket is evaluated -- integrating the
+    columns that deplete the pump -- and brentq runs on [bound, top].
+    ``max_iter`` caps brentq's iterations; a final band mean more than
+    ``tol_db`` off the target raises WorkingPointError, and a target above
+    the band mean at the top of the bracket raises UnreachableTargetError.
+    A target at or below the band mean at the bottom returns the bottom.
+
+    Every profile comes from ``gain_profile``, the lower bracket first;
+    each xi is computed once.
+    """
+    profiles = {}
+
+    def shortfall(xi):
+        if xi not in profiles:
+            profile = gain_profile(disp, expansion, drive, n_cells, xi)
+            profiles[xi] = (performance(profile), profile)
+        return profiles[xi][0] - target_db
+
+    lo, top = XI_BRACKET
+    if shortfall(lo) >= 0.0:
+        hi = xi = lo
+    else:
+        hi = _depletion_bound(disp, expansion, drive, n_cells, lo, top)
+        if shortfall(hi) < 0.0 and hi < top:
+            lo, hi = hi, top
+        if shortfall(hi) < 0.0:
+            raise UnreachableTargetError(
+                f"target {target_db} dB unreachable below xi {hi}: the band "
+                f"mean there is {profiles[hi][0]:.4g} dB",
+                hi, profiles[hi][0])
+        xi = brentq(shortfall, lo, hi, maxiter=max_iter, disp=False)
+        shortfall(xi)
+    band_mean, profile = profiles[xi]
+    if not abs(band_mean - target_db) <= tol_db:
+        raise WorkingPointError(
+            f"band mean {band_mean:.6g} dB at xi {xi} misses the target "
+            f"{target_db} dB by more than {tol_db} dB", xi, band_mean)
+    return WorkingPointSolution(
+        xi=xi,
+        profile=profile,
+        band_mean_db=band_mean,
+        ripple_db=float(np.ptp(profile.gain_db)),
+        bandwidth_hz=bandwidth_3db(profile),
+        bracket=(lo, hi),
+        gain_profile_calls=len(profiles),
+    )

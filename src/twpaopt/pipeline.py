@@ -20,15 +20,14 @@ from .bayesopt import SearchSpace, optimize_metric
 from .config import ConfigError, RunConfig, load_config
 from .fileio import atomic_write_text, read_json, sha256_of_file, write_csv, write_json
 from .metric import MetricBreakdown
-from .mixing import GAIN_PROFILE_COLUMNS, DriveSpec, optimize_working_point
-from .network import DeviceParams, dispersion, simulate_linear
-from .snail import (
-    JunctionSpec,
-    SnailSpec,
-    critical_current,
-    expand_potential,
-    kerr_free_flux,
+from .mixing import (
+    GAIN_PROFILE_COLUMNS,
+    DriveSpec,
+    bias_device,
+    optimize_working_point,
 )
+from .network import DeviceParams, dispersion, simulate_linear
+from .snail import JunctionSpec, critical_current, kerr_free_flux
 from .sweep import (
     DIMENSION_NAMES,
     SweepConfig,
@@ -449,26 +448,21 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
                            inputs=[os.path.basename(pstar_path)])
     try:
         device = _device_from_doc(pstar_doc)
-        junction = JunctionSpec(device.junction_area, device.current_density)
         flux = _resolve_stage3_flux(cfg, pstar_doc)
-
         grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
-        resp = simulate_linear(device, flux, grid, cfg.cell)
-        disp = dispersion(resp, device.cell_count)
-        write_touchstone(paths.pstar_s2p, resp)
+        biased = bias_device(device, flux, grid, cfg.cell)
+        write_touchstone(paths.pstar_s2p, biased.response)
 
-        expansion = expand_potential(
-            SnailSpec(small_junction=junction, alpha=device.alpha,
-                      flux_ext=flux))
         amps = cfg.drive.pump_amplitudes_ua
         drive = DriveSpec(
             pump_freq=cfg.metric.pump_freq,
             signal_band=cfg.drive.signal_band,
             signal_step=cfg.drive.signal_step,
         )
+        junction = JunctionSpec(device.junction_area, device.current_density)
         wp = optimize_working_point(
-            disp, expansion, device.cell_count, critical_current(junction),
-            drive, amps)
+            biased.dispersion, biased.expansion, device.cell_count,
+            critical_current(junction), drive, amps)
 
         outputs = ["pstar.s2p", "working_points.csv", "qstar.json"]
         for i, profile in enumerate(wp.profiles, start=1):

@@ -2,13 +2,17 @@
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from conftest import mini_config_doc
 
+import twpaopt
 from twpaopt.cli import WORKERS_ENV, main, resolve_workers
 from twpaopt.config import ConfigError, load_config, parse_config
 from twpaopt.pipeline import _resolve_stage3_flux, prepare_run_dir
@@ -198,6 +202,24 @@ def test_stage_chain_and_parallel_sweep(mini_config, capsys):
     assert all(line.startswith(str(run_dir)) for line in lines)
 
 
+def strip_wall_time(path):
+    """Rows of a stage-1 CSV without the wall_time_s column."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    header = rows[0]
+    drop = header.index("wall_time_s")
+    return [[f for i, f in enumerate(row) if i != drop] for row in rows]
+
+
+def checkpoint_by_index(path):
+    """Checkpoint records keyed by grid index, without their wall time."""
+    docs = {}
+    for line in path.read_text().splitlines():
+        doc = json.loads(line)
+        del doc["wall_time"]
+        assert docs.setdefault(doc["index"], doc) == doc
+    return docs
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
@@ -207,14 +229,75 @@ def test_parallel_sweep_matches_serial(tmp_path):
         assert main(["stage1", "--config", str(cfg),
                      "--workers", workers]) == 0
 
-    def strip_wall_time(path):
-        rows = [line.split(",") for line in path.read_text().splitlines()]
-        header = rows[0]
-        drop = header.index("wall_time_s")
-        return [[f for i, f in enumerate(row) if i != drop] for row in rows]
-
     assert (strip_wall_time(serial_dir / "run" / "stage1_records.csv")
             == strip_wall_time(parallel_dir / "run" / "stage1_records.csv"))
+
+
+#: 768 points of 60 cells: about a second of sweep after the first
+#: checkpoint line, ample time to interrupt it mid-run.
+RESUME_GRID = {
+    "A_J": {"min": 0.3, "max": 0.6, "step": 0.02},
+    "rho_Ic": {"min": 0.8, "max": 1.0, "step": 0.1},
+    "alpha": {"min": 0.23, "max": 0.23, "step": 0.02},
+    "t": {"min": 5.0, "max": 11.0, "step": 2.0},
+    "L_load": {"min": 1.5, "max": 2.0, "step": 0.5},
+    "C_load": {"min": 1.0, "max": 1.0, "step": 0.5},
+    "pitch": {"min": 2, "max": 3, "step": 1},
+}
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_stage1(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("resume") / "run"
+    config_path = run_dir.parent / "config.json"
+    config_path.write_text(json.dumps(
+        mini_config_doc(run_dir, grid=RESUME_GRID)))
+    assert main(["stage1", "--config", str(config_path)]) == 0
+    return run_dir
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_stage1_resumes_bitwise_after_a_signal(tmp_path, uninterrupted_stage1,
+                                               signum):
+    run_dir = tmp_path / "run"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        mini_config_doc(run_dir, grid=RESUME_GRID)))
+    checkpoint = run_dir / "stage1_checkpoint.jsonl"
+    total = len(checkpoint_by_index(
+        uninterrupted_stage1 / "stage1_checkpoint.jsonl"))
+    src = Path(twpaopt.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-c",
+               "import sys; from twpaopt.cli import main; sys.exit(main())",
+               "stage1", "--config", str(config_path)]
+
+    proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        while proc.poll() is None and not (
+                checkpoint.exists() and checkpoint.read_bytes().count(b"\n")):
+            time.sleep(0.002)
+        proc.send_signal(signum)
+        assert proc.wait(timeout=60) != 0, "stage 1 ended before the signal"
+    finally:
+        proc.kill()
+        proc.wait()
+    done = checkpoint.read_bytes().count(b"\n")
+    assert 0 < done < total
+    assert not (run_dir / "stage1_records.csv").exists()
+
+    resumed = subprocess.run(command, env=env, capture_output=True,
+                             text=True, timeout=120)
+    assert resumed.returncode == 0, resumed.stderr
+    assert (strip_wall_time(run_dir / "stage1_records.csv")
+            == strip_wall_time(uninterrupted_stage1 / "stage1_records.csv"))
+    assert (checkpoint_by_index(checkpoint) == checkpoint_by_index(
+        uninterrupted_stage1 / "stage1_checkpoint.jsonl"))
+    assert ((run_dir / "stage1_analysis.json").read_bytes()
+            == (uninterrupted_stage1 / "stage1_analysis.json").read_bytes())
 
 
 def test_optimize_without_stage1_is_config_error(mini_config, capsys):

@@ -13,15 +13,22 @@ from twpaopt.mixing import (
     AccuracyError,
     CmeInputs,
     DriveSpec,
+    GainProfile,
+    UnreachableTargetError,
+    WorkingPointError,
+    bandwidth_3db,
+    bias_device,
     coupling_constant,
     gain_profile,
     integrate_cme,
     optimize_working_point,
     performance,
     signal_idler_grid,
+    solve_working_point,
     undepleted_gain,
 )
-from twpaopt.snail import PotentialExpansion
+from twpaopt.network import CellConfig, DeviceParams, FrequencyGrid
+from twpaopt.snail import PotentialExpansion, kerr_free_flux
 
 BAND = (4.75e9, 6.75e9)
 PUMP = 11.5e9
@@ -227,6 +234,21 @@ def test_coupling_constant_frozen_value(ref_expansion):
     assert g0 == pytest.approx(ratio * 0.2 * np.sqrt(0.49 * 0.64), rel=1e-12)
     with pytest.raises(ValueError):
         coupling_constant(ref_expansion, xi=1.2, k_s=0.5, k_i=0.5)
+
+
+def test_coupling_constant_over_an_xi_array_is_bitwise_per_element(
+        ref_expansion):
+    k_s, k_i = np.array([0.49, 0.5, 0.61]), np.array([0.64, 0.55, 0.42])
+    xis = np.array([0.0, 1e-3, 0.158, 0.36, 0.499])
+    g0 = coupling_constant(ref_expansion, xis[:, None], k_s, k_i)
+    assert g0.shape == (5, 3)
+    for row, xi in zip(g0, xis):
+        np.testing.assert_array_equal(
+            row, coupling_constant(ref_expansion, float(xi), k_s, k_i))
+    for bad in (1.0, -1e-3, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            coupling_constant(ref_expansion, np.array([0.1, bad]), k_s[0],
+                              k_i[0])
 
 
 def test_gain_profile_halving_guard_is_per_component(
@@ -448,3 +470,192 @@ def test_undepleted_gain_is_at_least_unity_when_matched_enough(g0n, dkn):
     n = 240
     gain = undepleted_gain(g0n / n, min(dkn, 2.0 * g0n) / n, n)
     assert gain >= 1.0 - 1e-12
+
+
+# -- working point as a solve --------------------------------------------------
+
+
+def closed_form_band_mean(disp, expansion, n_cells, xis):
+    """Band mean (dB) of the undepleted closed form, one per xi."""
+    f_s, k_s, k_i, mismatch = mixing._tones(disp, drive(step=0.05e9))
+    gain = undepleted_gain(
+        coupling_constant(expansion, np.asarray(xis)[:, None], k_s, k_i),
+        mismatch, n_cells)
+    return np.array([performance(GainProfile(f_s, 10.0 * np.log10(g), g))
+                     for g in gain])
+
+
+@pytest.fixture(scope="module")
+def short_device():
+    """The reference device at 120 cells, as find_working_point_20db builds
+    it with ``--cells 120``."""
+    device = DeviceParams(junction_area=0.49, current_density=0.9, alpha=0.23,
+                          dielectric_thickness=9.0, inductance_load_ratio=1.5,
+                          capacitance_load_ratio=1.0, pitch=3, cell_count=120)
+    return bias_device(device, kerr_free_flux(device.alpha),
+                       FrequencyGrid(0.0, 24e9, 1e7), CellConfig())
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """Columns of every _integrate call, in order."""
+    calls = []
+    integrate = mixing._integrate
+
+    def spy(a0, *args, **kwargs):
+        calls.append(np.shape(a0)[1])
+        return integrate(a0, *args, **kwargs)
+
+    monkeypatch.setattr(mixing, "_integrate", spy)
+    return calls
+
+
+def bisection_bracket(disp, expansion, target=20.0, tol=0.25):
+    """The bracket criterion 10's bisection ends in (same midpoints)."""
+    lo, hi = mixing.XI_BRACKET
+    for _ in range(30):
+        xi = 0.5 * (lo + hi)
+        perf = performance(gain_profile(disp, expansion, drive(step=0.05e9),
+                                        n_cells=360, xi=xi))
+        if abs(perf - target) < tol:
+            return lo, hi
+        lo, hi = (xi, hi) if perf < target else (lo, xi)
+    raise AssertionError("bisection did not converge")
+
+
+def test_bias_device_matches_the_reference_fixtures(
+        ref_device, ref_flux, ref_grid, ref_response, ref_dispersion,
+        ref_expansion):
+    biased = bias_device(ref_device, ref_flux, ref_grid, CellConfig())
+    np.testing.assert_array_equal(biased.response.s21, ref_response.s21)
+    np.testing.assert_array_equal(biased.dispersion.k, ref_dispersion.k)
+    assert biased.expansion == ref_expansion
+
+
+@pytest.mark.parametrize("n_cells", [120, 360])
+def test_closed_form_band_mean_is_monotone_in_xi(
+        n_cells, short_device, ref_dispersion, ref_expansion):
+    disp, expansion = ((short_device.dispersion, short_device.expansion)
+                       if n_cells == 120 else (ref_dispersion, ref_expansion))
+    xis = np.linspace(*mixing.XI_BRACKET, 2000)
+    assert np.all(np.diff(closed_form_band_mean(disp, expansion, n_cells,
+                                                xis)) > 0.0)
+
+
+def test_depletion_bound_is_where_the_first_column_depletes(
+        ref_dispersion, ref_expansion, short_device):
+    spec = drive(step=0.05e9)
+    freqs = signal_idler_grid(spec)
+    bound = mixing._depletion_bound(ref_dispersion, ref_expansion, spec, 360,
+                                    *mixing.XI_BRACKET)
+    assert bound == pytest.approx(0.3602, abs=1e-4)
+    assert np.max(predicted_depletion(ref_dispersion, ref_expansion, bound,
+                                      freqs)) <= mixing.HALVING_TOL
+    assert np.max(predicted_depletion(ref_dispersion, ref_expansion,
+                                      bound + 1e-10, freqs)) > mixing.HALVING_TOL
+    # The 120-cell device stays in closed form over the whole bracket.
+    assert mixing._depletion_bound(
+        short_device.dispersion, short_device.expansion, spec, 120,
+        *mixing.XI_BRACKET) == mixing.XI_BRACKET[1]
+
+
+def test_solve_working_point_20db_is_closed_form(
+        ref_dispersion, ref_expansion, integrate_calls, monkeypatch):
+    profile_calls = []
+    monkeypatch.setattr(mixing, "gain_profile", lambda *a: (
+        profile_calls.append(a[-1]) or gain_profile(*a)))
+    sol = solve_working_point(ref_dispersion, ref_expansion,
+                              drive(step=0.05e9), 360, 20.0, 0.25, 40)
+    assert integrate_calls == []
+    assert abs(sol.band_mean_db - 20.0) < 1e-6
+    assert sol.band_mean_db == performance(sol.profile)
+    assert profile_calls[0] == mixing.XI_BRACKET[0]
+    assert sol.gain_profile_calls == len(profile_calls) <= 12
+    assert len(set(profile_calls)) == len(profile_calls)
+    assert sol.bracket[0] == mixing.XI_BRACKET[0]
+    assert sol.bracket[1] == pytest.approx(0.3602, abs=1e-4)
+
+    monkeypatch.undo()
+    lo, hi = bisection_bracket(ref_dispersion, ref_expansion)
+    assert lo < sol.xi < hi
+
+
+def test_solve_working_point_integrates_above_the_depletion_bound(
+        ref_dispersion, ref_expansion, integrate_calls):
+    # The band mean is 59.8 dB at the bound and 86.5 dB at xi 0.499; one
+    # secant step from that bracket lands within 1 dB of 70 dB.
+    sol = solve_working_point(ref_dispersion, ref_expansion,
+                              drive(step=0.05e9), 360, 70.0, 1.0, 1)
+    assert sol.bracket[0] == pytest.approx(0.3602, abs=1e-4)
+    assert sol.bracket[1] == mixing.XI_BRACKET[1]
+    assert abs(sol.band_mean_db - 70.0) <= 1.0
+    assert sol.bracket[0] < sol.xi < sol.bracket[1]
+    assert len(integrate_calls) == 2  # xi 0.499 and the secant point
+    assert sol.gain_profile_calls == 4
+
+
+def test_solve_working_point_unreachable_target_raises(short_device):
+    disp, expansion = short_device.dispersion, short_device.expansion
+    top = performance(gain_profile(disp, expansion, drive(step=0.05e9),
+                                   n_cells=120, xi=0.499))
+    with pytest.raises(UnreachableTargetError, match="unreachable") as exc:
+        solve_working_point(disp, expansion, drive(step=0.05e9), 120, 80.0,
+                            0.25, 40)
+    assert exc.value.xi == mixing.XI_BRACKET[1]
+    assert exc.value.band_mean_db == top
+    assert round(top, 2) == 24.56
+
+
+def test_solve_working_point_checks_the_final_point(ref_dispersion,
+                                                    ref_expansion):
+    with pytest.raises(WorkingPointError, match="misses the target") as exc:
+        solve_working_point(ref_dispersion, ref_expansion, drive(step=0.05e9),
+                            360, 20.0, 1e-9, 1)
+    assert not isinstance(exc.value, UnreachableTargetError)
+    assert abs(exc.value.band_mean_db - 20.0) > 1e-9
+    assert 0.0 < exc.value.xi < 0.3603
+
+
+def test_solve_working_point_target_below_the_bracket_returns_its_bottom(
+        ref_dispersion, ref_expansion):
+    # The band mean at xi 1e-3 is 4.3e-4 dB, above a 0 dB target.
+    sol = solve_working_point(ref_dispersion, ref_expansion, drive(), 360,
+                              0.0, 0.01, 40)
+    assert sol.xi == mixing.XI_BRACKET[0]
+    assert sol.bracket == (sol.xi, sol.xi)
+    assert sol.gain_profile_calls == 1
+
+
+def test_bandwidth_3db_interpolates_each_edge():
+    freqs = np.linspace(4.75e9, 6.75e9, 41)
+    tri = 1.0 - np.abs(freqs - 5.75e9) / 1e9
+    zeros = np.zeros_like(freqs)
+    # Peak 40 dB at 5.75 GHz falling 2 dB per 50 MHz: the 37 dB crossings
+    # sit halfway between samples, at 5.675 and 5.825 GHz.
+    peaked = GainProfile(freqs, 40.0 * tri, zeros)
+    assert bandwidth_3db(peaked) == pytest.approx(0.15e9, rel=1e-12)
+    # Within 3 dB across the band: the band edges bound it.
+    flat = GainProfile(freqs, 20.0 + tri, zeros)
+    assert bandwidth_3db(flat) == pytest.approx(2e9, rel=1e-12)
+    # A peak on the lower band edge is bounded by that edge.
+    edge = GainProfile(freqs, 10.0 - 20.0 * (freqs - 4.75e9) / 1e9, zeros)
+    assert bandwidth_3db(edge) == pytest.approx(0.15e9, rel=1e-12)
+
+
+def test_solve_reports_ripple_and_bandwidth_of_its_profile(
+        ref_dispersion, ref_expansion, monkeypatch):
+    # Hand-built profiles 200 xi (1 - |f - 5.75 GHz| / 1 GHz) dB: band mean
+    # 100 xi dB, so 20 dB at xi 0.2 with a 40 dB peak, 40 dB of ripple and
+    # a 150 MHz -3 dB band.
+    freqs = signal_idler_grid(drive(step=0.05e9))
+    tri = 1.0 - np.abs(freqs - 5.75e9) / 1e9
+
+    def hand_built(disp, expansion, spec, n_cells, xi):
+        return GainProfile(freqs, 200.0 * xi * tri, np.zeros_like(freqs))
+
+    monkeypatch.setattr(mixing, "gain_profile", hand_built)
+    sol = solve_working_point(ref_dispersion, ref_expansion,
+                              drive(step=0.05e9), 360, 20.0, 1e-6, 40)
+    assert sol.xi == pytest.approx(0.2, rel=1e-9)
+    assert sol.ripple_db == pytest.approx(40.0, rel=1e-9)
+    assert sol.bandwidth_hz == pytest.approx(0.15e9, rel=1e-6)
