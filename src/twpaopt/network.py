@@ -8,10 +8,16 @@ one loaded cell, repeated N/P times.
 
 The cascade builds the macrocell ABCD (chain) matrix once per frequency and
 raises it to the N/P-th power in closed form with the Chebyshev identity for
-unimodular matrices (the Abeles formula for periodic stacks).  Deep in a
-stopband the chain-matrix entries grow like exp(kappa N) and would overflow,
-so that growth is carried separately as a logarithmic scale; S-parameters are
-ratios and come out finite either way.
+unimodular matrices (the Abeles formula for periodic stacks).  A lossless
+L-section's matrix is [[a, jb], [jc, d]] with a, b, c, d real, and products
+and powers of such matrices keep that form, so the whole cascade runs on the
+four real entries as elementwise array products: no per-matrix BLAS call and
+no complex transcendental.  The half-trace x is real, and the Chebyshev
+factors take a sine form in the passband (|x| <= 1) and a hyperbolic-sine
+form in the stopband (|x| > 1).  Deep in a stopband the chain-matrix entries
+grow like exp(kappa N) and would overflow, so that growth is carried
+separately as a logarithmic scale; S-parameters are ratios and come out
+finite either way.
 
 Everything from the cell immittances to the S-parameters works on a leading
 device axis: devices that share pitch and cell count are simulated as one
@@ -261,6 +267,25 @@ def stack_cells(pairs) -> tuple[CellImmittance, CellImmittance]:
     )
 
 
+def _cell_entries(cell: CellImmittance, freq):
+    """Real entries (a, b, c, d) of the cell matrix [[a, jb], [jc, d]].
+
+    a, b and c have shape cell shape + freq shape; d is the scalar 1.0.
+    """
+    w = 2.0 * np.pi * np.asarray(freq, dtype=float)
+    wl = np.multiply.outer(cell.series_inductance, w)
+    wc = np.multiply.outer(cell.shunt_capacitance, w)
+    return 1.0 - wl * wc, wl, wc, 1.0
+
+
+def _chain_product(m, n):
+    """Real entries of the product of two [[a, jb], [jc, d]] matrices."""
+    a1, b1, c1, d1 = m
+    a2, b2, c2, d2 = n
+    return (a1 * a2 - b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, d1 * d2 - c1 * b2)
+
+
 def cell_abcd(cell: CellImmittance, freq) -> np.ndarray:
     """ABCD matrix of one L-section cell, series jwL then shunt jwC.
 
@@ -268,18 +293,16 @@ def cell_abcd(cell: CellImmittance, freq) -> np.ndarray:
     at one frequency, (B, F, 2, 2) for a batch of B devices on F
     frequencies.
     """
-    w = 2.0 * np.pi * np.asarray(freq, dtype=float)
-    wl = np.multiply.outer(cell.series_inductance, w)
-    wc = np.multiply.outer(cell.shunt_capacitance, w)
-    out = np.empty(wl.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1.0 - wl * wc
-    out[..., 0, 1] = 1j * wl
-    out[..., 1, 0] = 1j * wc
-    out[..., 1, 1] = 1.0
+    a, b, c, d = _cell_entries(cell, freq)
+    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    out[..., 0, 0] = a
+    out[..., 0, 1] = 1j * b
+    out[..., 1, 0] = 1j * c
+    out[..., 1, 1] = d
     return out
 
 
-#: Stopband growth n Re(t) above which cascade() moves exp((n-1) Re t) into
+#: Stopband growth n t above which cascade() moves exp((n-1) t) into
 #: log_scale; below it every entry stays under ~e^300, far from overflow.
 _LOG_SCALE_ONSET = 300.0
 
@@ -294,12 +317,15 @@ def cascade(p: DeviceParams, grid: FrequencyGrid, cells) -> CascadedAbcd:
     the same operations whatever the batch size, so a device's chain matrix
     does not depend on the batch it was computed in.
 
+    Every matrix here has the lossless form [[a, jb], [jc, d]] with real
+    a, b, c, d, so the products are written out on those four real arrays.
     The macrocell M = U^(P-1) L is unimodular, so with n = N/P and
-    x = tr M / 2 = cosh t its power is M^n = U_{n-1}(x) M - U_{n-2}(x) I,
-    where U_{k-1}(cosh t) = sinh(kt) / sinh t is the Chebyshev polynomial of
-    the second kind.  x is folded onto Re x >= 0 first, using
-    U_{k-1}(-x) = (-1)^(k-1) U_{k-1}(x), so t vanishes only at x = +-1,
-    where U_{k-1} = k is taken directly.
+    x = tr M / 2 its power is M^n = U_{n-1}(x) M - U_{n-2}(x) I, with
+    U_{k-1} the Chebyshev polynomial of the second kind.  x is real and is
+    folded onto x >= 0 first, using U_{k-1}(-x) = (-1)^(k-1) U_{k-1}(x).
+    In the passband, x = cos(theta) and U_{k-1} = sin(k theta) / sin(theta);
+    in the stopband, x = cosh(t) and U_{k-1} = sinh(k t) / sinh(t).  Both
+    angles vanish at x = 1, where U_{k-1} = k is taken directly.
     """
     unloaded, loaded = cells
     n, pitch = p.cell_count, p.pitch
@@ -309,28 +335,38 @@ def cascade(p: DeviceParams, grid: FrequencyGrid, cells) -> CascadedAbcd:
         )
     n //= pitch
     freqs = grid.freqs()
-    macro = np.linalg.matrix_power(cell_abcd(unloaded, freqs), pitch - 1)
-    macro = macro @ cell_abcd(loaded, freqs)
+    unit = _cell_entries(unloaded, freqs)
+    macro = unit
+    for _ in range(pitch - 2):
+        macro = _chain_product(macro, unit)
+    a, b, c, d = _chain_product(macro, _cell_entries(loaded, freqs))
 
-    x = 0.5 * (macro[..., 0, 0] + macro[..., 1, 1])
-    sign = np.where(x.real < 0, -1.0, 1.0)
-    t = np.arccosh(sign * x)
-    log_scale = np.where(n * t.real > _LOG_SCALE_ONSET, (n - 1) * t.real, 0.0)
-    edge = t == 0
-    sinh_t = np.where(edge, 1.0, np.sinh(t))
+    x = 0.5 * (a + d)
+    sign = np.where(x < 0, -1.0, 1.0)
+    x *= sign
+    stop = x > 1.0
+    edge = x == 1.0
+    theta = np.arccos(np.minimum(x, 1.0))  # 0 in the stopband
+    t = np.arccosh(np.maximum(x, 1.0))  # 0 in the passband
+    log_scale = np.where(n * t > _LOG_SCALE_ONSET, (n - 1) * t, 0.0)
+    divisor = np.where(stop, np.sinh(t), np.where(edge, 1.0, np.sin(theta)))
 
     def chebyshev_u(k: int) -> np.ndarray:
-        """U_{k-1}(sign * x) * exp(-log_scale)."""
+        """U_{k-1}(x) * exp(-log_scale) at the folded x."""
         # sinh(z) = -exp(z) expm1(-2z) / 2 is accurate for small z and takes
         # the scale out before anything can overflow.
-        scaled = -0.5 * np.exp(k * t - log_scale) * np.expm1(-2.0 * k * t)
-        return np.where(edge, k, scaled / sinh_t)
+        growth = -0.5 * np.exp(k * t - log_scale) * np.expm1(-2.0 * k * t)
+        wave = np.where(stop, growth, np.sin(k * theta))
+        return np.where(edge, k, wave / divisor)
 
+    scale = sign ** (n - 1) * chebyshev_u(n)
     shift = sign**n * chebyshev_u(n - 1)
-    macro *= (sign ** (n - 1) * chebyshev_u(n))[..., None, None]
-    macro[..., 0, 0] -= shift
-    macro[..., 1, 1] -= shift
-    return CascadedAbcd(matrices=macro, log_scale=log_scale)
+    out = np.zeros(x.shape + (2, 2), dtype=complex)
+    out.real[..., 0, 0] = scale * a - shift
+    out.imag[..., 0, 1] = scale * b
+    out.imag[..., 1, 0] = scale * c
+    out.real[..., 1, 1] = scale * d - shift
+    return CascadedAbcd(matrices=out, log_scale=log_scale)
 
 
 def abcd_to_s(abcd: np.ndarray, z0: float, log_scale=None, det=None):

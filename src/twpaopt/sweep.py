@@ -508,25 +508,21 @@ def weighted_histograms(grid: ParameterGrid, records: list[SweepRecord]):
     counted; failed records carry infinite metric and contribute nothing.
     """
     dims = grid.dims()
-    weights = [np.zeros(d.count) for d in dims]
-    excluded = 0
-    for r in records:
-        total = r.metric_total
-        if total <= 0:
-            excluded += 1
-            continue
-        w = 1.0 / total
-        for axis, i in enumerate(grid.multi_index(r.index)):
-            weights[axis][i] += w
+    used = [r for r in records if not r.metric_total <= 0]
+    weights = 1.0 / np.array([r.metric_total for r in used], dtype=float)
+    bins = np.unravel_index(np.array([r.index for r in used], dtype=np.intp),
+                            tuple(d.count for d in dims))
+    # bincount adds the weights into each bin in record order.
     histograms = [
         {
             "name": DIMENSION_NAMES[axis],
-            "values": [float(v) for v in dims[axis].values()],
-            "weights": [float(w) for w in weights[axis]],
+            "values": [float(v) for v in d.values()],
+            "weights": [float(w) for w in np.bincount(
+                bins[axis], weights=weights, minlength=d.count)],
         }
-        for axis in range(len(dims))
+        for axis, d in enumerate(dims)
     ]
-    return histograms, excluded
+    return histograms, len(records) - len(used)
 
 
 @dataclass

@@ -116,16 +116,19 @@ def test_chain_matches_nodal_solution():
         np.testing.assert_allclose(s22, ref[:, 1, 1], atol=1e-10)
 
 
-def test_cascade_matches_explicit_chain():
+@pytest.mark.parametrize("pitch, cell_count",
+                         [(3, 24), (2, 60), (3, 60), (4, 60), (5, 60)])
+def test_cascade_matches_explicit_chain(pitch, cell_count):
+    # Pitch 4 and up multiply the unloaded cell into itself more than once.
     unloaded = CellImmittance(0.6e-9, 0.3e-12)
     loaded = CellImmittance(0.9e-9, 0.3e-12)
-    device = dummy_device(pitch=3, cell_count=24)
+    device = dummy_device(pitch=pitch, cell_count=cell_count)
     grid = FrequencyGrid(0.0, 20e9, 1e9)
     total = cascade(device, grid, (unloaded, loaded))
     np.testing.assert_array_equal(total.log_scale, 0.0)
 
     ls, cs = periodic_cell_sequence(
-        (0.6e-9, 0.3e-12), (0.9e-9, 0.3e-12), 3, 24)
+        (0.6e-9, 0.3e-12), (0.9e-9, 0.3e-12), pitch, cell_count)
     cells = [CellImmittance(l, c) for l, c in zip(ls, cs)]
     reference = chain_abcd(cells, grid.freqs())
     np.testing.assert_allclose(plain_abcd(total), reference, rtol=1e-11, atol=1e-11)
@@ -186,13 +189,14 @@ def test_stopband_cascade_stays_finite_and_lossless():
     np.testing.assert_allclose(power, 1.0, atol=1e-9)
 
 
-def test_batched_cascade_matches_each_device_alone():
+@pytest.mark.parametrize("pitch", [3, 4])
+def test_batched_cascade_matches_each_device_alone(pitch):
     # Three devices of one pitch and cell count, one of them deep enough in
     # the stopband at the upper frequencies to take the log-scaled branch.
     cells = [(CellImmittance(l, c), CellImmittance(1.5 * l, 1.2 * c))
              for l, c in ((0.6e-9, 0.3e-12), (2.5e-9, 1.0e-12),
                           (1.1e-9, 0.5e-12))]
-    device = dummy_device(pitch=3, cell_count=3 << 12)
+    device = dummy_device(pitch=pitch, cell_count=pitch << 12)
     grid = FrequencyGrid(0.0, 20e9, 0.25e9)
     batch = cascade(device, grid, stack_cells(cells))
     assert batch.matrices.shape == (3, grid.points, 2, 2)
@@ -208,6 +212,34 @@ def test_batched_cascade_matches_each_device_alone():
                             det=1.0)
         for ours, theirs in zip(s_batch, s_alone):
             np.testing.assert_array_equal(ours[b], theirs)
+
+
+@pytest.mark.parametrize("pitch", [2, 3])
+def test_desk_cascade_stays_in_the_lossless_class(pitch):
+    # Lossless cells have chain matrices [[a, jb], [jc, d]] with real a, b,
+    # c, d, and so do their products and Chebyshev powers: the other halves
+    # of the entries are exactly zero.  No growth is scaled out in the
+    # passband, |x| <= 1 for the macrocell half-trace x.
+    cfg = load_config(DESK_CONFIG)
+    devices = [device_from_values(cfg.grid.point_values(i), cfg.cell_count)
+               for i in range(pitch - 2, 32, 2)]
+    assert {d.pitch for d in devices} == {pitch}
+    cells = stack_cells([build_cells(d, kerr_free_flux(d.alpha), cfg.cell)
+                         for d in devices])
+    grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
+    total = cascade(devices[0], grid, cells)
+    assert total.matrices.shape == (16, grid.points, 2, 2)
+    m = total.matrices
+    for part in (m[..., 0, 0].imag, m[..., 1, 1].imag,
+                 m[..., 0, 1].real, m[..., 1, 0].real):
+        np.testing.assert_array_equal(part, 0.0)
+
+    unloaded, loaded = (cell_abcd(c, grid.freqs()) for c in cells)
+    macro = np.linalg.matrix_power(unloaded, pitch - 1) @ loaded
+    x = 0.5 * (macro[..., 0, 0] + macro[..., 1, 1]).real
+    passband = np.abs(x) <= 1.0
+    assert passband.any() and not passband.all()
+    np.testing.assert_array_equal(total.log_scale[passband], 0.0)
 
 
 def test_abcd_to_s_names_the_singular_device_and_frequency():

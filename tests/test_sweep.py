@@ -376,6 +376,37 @@ def test_weighted_histograms_excludes_nonpositive():
         assert sum(hist["weights"]) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_weighted_histograms_equal_the_per_record_sums_on_the_desk_grid():
+    # Shuffled records over the whole desk grid, some excluded (non-positive
+    # metric) and some failed (infinite metric), against the sums taken one
+    # record and one axis at a time in record order: the weights must agree
+    # bit for bit, so stage1_analysis.json does not depend on how they are
+    # summed.
+    grid = load_config(DESK_CONFIG).grid
+    rng = np.random.default_rng(3)
+    totals = rng.lognormal(1.0, 1.5, size=grid.size)
+    totals[rng.choice(grid.size, 40, replace=False)] *= -1.0
+    totals[rng.choice(grid.size, 5, replace=False)] = 0.0
+    failed = set(rng.choice(grid.size, 30, replace=False).tolist())
+    records = [fake_record(int(i), grid, totals[i], failed=i in failed)
+               for i in rng.permutation(grid.size)]
+
+    expected = [np.zeros(d.count) for d in grid.dims()]
+    expected_excluded = 0
+    for r in records:
+        if r.metric_total <= 0:
+            expected_excluded += 1
+            continue
+        for axis, i in enumerate(grid.multi_index(r.index)):
+            expected[axis][i] += 1.0 / r.metric_total
+
+    histograms, excluded = weighted_histograms(grid, records)
+    assert excluded == expected_excluded
+    assert [h["name"] for h in histograms] == list(DIMENSION_NAMES)
+    for hist, weights in zip(histograms, expected):
+        assert hist["weights"] == [float(w) for w in weights]
+
+
 def test_build_analysis_cutoff_and_fallback():
     grid = tiny_grid()
     records = [fake_record(i, grid, 10.0 ** i) for i in range(grid.size)]
