@@ -59,10 +59,16 @@ def _progress_printer(total: int):
     return callback
 
 
-def _warn_stage1(failed: int, stage1_csv: str) -> None:
+def _warn_stage1(stage: dict, stage1_csv: str) -> None:
+    """Warn of failed grid points from stage 1's manifest entry."""
+    failed = stage["failed_points"]
     if failed:
-        print(f"warning: {failed} grid point(s) failed and are flagged in "
-              f"{stage1_csv}", file=sys.stderr)
+        # Run directories written before the field existed lack it.
+        types = ", ".join(f"{name}: {count}" for name, count
+                          in stage.get("failures_by_type", {}).items())
+        detail = f" ({types})" if types else ""
+        print(f"warning: {failed} grid point(s) failed{detail} and are "
+              f"flagged in {stage1_csv}", file=sys.stderr)
 
 
 def _warn_stage3(failed: int) -> None:
@@ -75,9 +81,9 @@ def _cmd_stage1(args) -> int:
     workers = resolve_workers(args.workers, cfg)
     paths, manifest = prepare_run_dir(args.config, cfg)
     with RunLock(paths):
-        failed = run_stage1(cfg, paths, manifest, workers=workers,
-                            progress=_progress_printer(cfg.grid.size))
-    _warn_stage1(failed, paths.stage1_csv)
+        run_stage1(cfg, paths, manifest, workers=workers,
+                   progress=_progress_printer(cfg.grid.size))
+    _warn_stage1(manifest["stages"]["stage1"], paths.stage1_csv)
     print(paths.stage1_csv)
     return 0
 
@@ -115,8 +121,7 @@ def _cmd_pipeline(args) -> int:
     stages = manifest["stages"]
     for name, stage in stages.items():
         print(f"{name}: {stage['status']}")
-    _warn_stage1(stages["stage1"]["failed_points"],
-                 RunPaths(cfg.output_dir).stage1_csv)
+    _warn_stage1(stages["stage1"], RunPaths(cfg.output_dir).stage1_csv)
     # Run directories written before stage 3 recorded the field lack it.
     _warn_stage3(stages["stage3"].get("failed_drive_points", 0))
     return 0

@@ -22,7 +22,9 @@ finite either way.
 Everything from the cell immittances to the S-parameters works on a leading
 device axis: devices that share pitch and cell count are simulated as one
 batch, each element through the same operations as on its own.  A single
-device is a batch of one.
+device is a batch of one.  ``sparam_faults`` validates a batch of (B, F)
+S-parameters at once and names each failing row's fault;
+``TwoPortResponse.validate`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -150,6 +152,10 @@ class FrequencyGrid:
         return self.start + self.step * np.arange(self.points)
 
 
+#: S-parameter names in the order of an (s11, s21, s12, s22) tuple.
+SPARAM_NAMES = ("s11", "s21", "s12", "s22")
+
+
 @dataclass
 class TwoPortResponse:
     """S-parameters on a frequency grid at a real reference impedance."""
@@ -163,7 +169,7 @@ class TwoPortResponse:
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
-        for name in ("s11", "s21", "s12", "s22"):
+        for name in SPARAM_NAMES:
             arr = np.asarray(getattr(self, name), dtype=complex)
             if arr.shape != self.freqs.shape:
                 raise ValueError(f"{name} length does not match the frequency grid")
@@ -172,26 +178,66 @@ class TwoPortResponse:
             raise ValueError("frequency grid must be strictly ascending")
 
     def validate(self, passivity_tol: float = 1e-9, reciprocity_tol: float = 1e-12):
-        """Check finiteness, losslessness/passivity and reciprocity."""
-        for name in ("s11", "s21", "s12", "s22"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise SimulationError(f"{name} has non-finite entries")
-        power = np.abs(self.s11) ** 2 + np.abs(self.s21) ** 2
-        worst = float(np.max(np.abs(power - 1.0))) if power.size else 0.0
-        if worst > passivity_tol:
-            raise SimulationError(
-                f"losslessness violated: max | |S11|^2+|S21|^2 - 1 | = {worst:.3e}"
-            )
-        recip = float(np.max(np.abs(self.s12 - self.s21))) if self.freqs.size else 0.0
-        if recip > reciprocity_tol:
-            raise SimulationError(
-                f"reciprocity violated: max |S12 - S21| = {recip:.3e}"
-            )
+        """Check finiteness, losslessness/passivity and reciprocity.
+
+        A batch of one through ``sparam_faults``.
+        """
+        sparams = [getattr(self, name)[None] for name in SPARAM_NAMES]
+        (fault,) = sparam_faults(self.freqs, sparams, passivity_tol,
+                                 reciprocity_tol)
+        if fault is not None:
+            raise SimulationError(fault)
+
+
+def sparam_faults(freqs, sparams, passivity_tol: float = 1e-9,
+                  reciprocity_tol: float = 1e-12) -> list[str | None]:
+    """Why each device of a batch fails validation, or None where it passes.
+
+    ``sparams`` is (s11, s21, s12, s22), each (B, F) on the shared grid
+    ``freqs``, whose ascending order is checked once.  Each row is checked
+    for finiteness, then for losslessness, max | |S11|^2 + |S21|^2 - 1 |
+    against ``passivity_tol``, then for reciprocity, max |S12 - S21|
+    against ``reciprocity_tol``; the first check a row fails names its
+    fault.  The worst cases are per-row maxima, which do not depend on the
+    other rows, so a row gets the same fault in any batch.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.size and np.any(np.diff(freqs) <= 0):
+        raise ValueError("frequency grid must be strictly ascending")
+    s11, s21, s12, s22 = sparams
+    finite = [np.isfinite(s).all(axis=-1) for s in sparams]
+    if freqs.size:
+        # Rows with non-finite entries are reported as such below; their
+        # inf - inf here must not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            power = np.abs(s11) ** 2 + np.abs(s21) ** 2
+            worst = np.max(np.abs(power - 1.0), axis=-1)
+            recip = np.max(np.abs(s12 - s21), axis=-1)
+    else:
+        worst = recip = np.zeros(len(s11))
+    faults = []
+    for row in range(len(s11)):
+        bad = [name for name, ok in zip(SPARAM_NAMES, finite) if not ok[row]]
+        if bad:
+            faults.append(f"{bad[0]} has non-finite entries")
+        elif worst[row] > passivity_tol:
+            faults.append("losslessness violated: max | |S11|^2+|S21|^2 - 1 | "
+                          f"= {float(worst[row]):.3e}")
+        elif recip[row] > reciprocity_tol:
+            faults.append(
+                f"reciprocity violated: max |S12 - S21| = {float(recip[row]):.3e}")
+        else:
+            faults.append(None)
+    return faults
 
 
 @dataclass(frozen=True)
 class DispersionCurve:
-    """Per-cell wavenumber k(f) in rad/cell on a DC-anchored grid."""
+    """Per-cell wavenumber k(f) in rad/cell on a DC-anchored grid.
+
+    k has shape (F,) for one device; the metric also takes a (B, F) batch
+    on one grid (``metric.score_batch``).
+    """
 
     freqs: np.ndarray = field(repr=False)
     k: np.ndarray = field(repr=False)
@@ -411,7 +457,7 @@ def linear_sparams(devices, fluxes, grid: FrequencyGrid, cfg: CellConfig):
 
     The devices must share pitch and cell count; they go through one
     cascade and one ABCD to S conversion.  Nothing is validated here, see
-    ``validated_response``.
+    ``sparam_faults``.
     """
     shape = {(p.pitch, p.cell_count) for p in devices}
     if len(shape) != 1:
@@ -427,15 +473,6 @@ def linear_sparams(devices, fluxes, grid: FrequencyGrid, cfg: CellConfig):
         raise SimulationError(str(exc)) from exc
 
 
-def validated_response(freqs, sparams, row: int, z0: float) -> TwoPortResponse:
-    """Device ``row`` of batched S-parameters, checked by ``validate``."""
-    s11, s21, s12, s22 = (s[row] for s in sparams)
-    resp = TwoPortResponse(
-        freqs=freqs, s11=s11, s21=s21, s12=s12, s22=s22, ref_impedance=z0)
-    resp.validate()
-    return resp
-
-
 def simulate_linear(
     p: DeviceParams, flux_ext: float, grid: FrequencyGrid, cfg: CellConfig
 ) -> TwoPortResponse:
@@ -445,7 +482,10 @@ def simulate_linear(
     inputs produce bit-identical responses, alone or in any batch.
     """
     sparams = linear_sparams([p], [flux_ext], grid, cfg)
-    return validated_response(grid.freqs(), sparams, 0, cfg.ref_impedance)
+    resp = TwoPortResponse(grid.freqs(), *(s[0] for s in sparams),
+                           ref_impedance=cfg.ref_impedance)
+    resp.validate()
+    return resp
 
 
 def wavenumbers(freqs, s21, n_cells: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import socket
 import time
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -268,7 +269,11 @@ def _sweep_config(cfg: RunConfig) -> SweepConfig:
 
 def run_stage1(cfg: RunConfig, paths: RunPaths, manifest: dict,
                workers: int = 1, progress=None) -> int:
-    """Grid sweep -> records CSV + analysis JSON.  Returns failed-row count."""
+    """Grid sweep -> records CSV + analysis JSON.  Returns failed-row count.
+
+    The manifest's stage entry records the failed-row count and the count
+    per exception type.
+    """
     started = _stage_begin(paths, manifest, "stage1", workers=workers)
     try:
         records = run_sweep(
@@ -282,12 +287,15 @@ def run_stage1(cfg: RunConfig, paths: RunPaths, manifest: dict,
     except Exception as exc:
         _stage_fail(paths, manifest, "stage1", started, exc)
         raise
-    failed = sum(1 for r in records if r.failed)
+    # A failed record's error reads "ExceptionType: message".
+    failures = Counter(r.error.partition(":")[0] for r in records if r.failed)
+    failed = sum(failures.values())
     _stage_finish(
         paths, manifest, "stage1", started,
         ["stage1_records.csv", "stage1_analysis.json",
          "stage1_checkpoint.jsonl"],
-        grid_points=cfg.grid.size, failed_points=failed)
+        grid_points=cfg.grid.size, failed_points=failed,
+        failures_by_type=dict(sorted(failures.items())))
     return failed
 
 

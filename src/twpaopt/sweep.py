@@ -5,8 +5,10 @@ dielectric thickness, the two load ratios, pitch) enumerated
 lexicographically with the first dimension slowest.  Every point is biased
 at its own Kerr-free flux, simulated, scored, and appended to a checkpoint
 so an interrupted sweep resumes without recomputation.  Points are
-simulated CHUNK_POINTS at a time, each pitch in a chunk as one batch; a
-point's record does not depend on the batch it was computed in.
+simulated CHUNK_POINTS at a time, each pitch in a chunk as one batch that
+is validated (``sparam_faults``) and scored (``score_batch``) as arrays; a
+point's record does not depend on the batch it was computed in.  Each
+chunk's records go to the checkpoint in one write.
 
 Analysis helpers reduce the record table to a Pearson correlation matrix
 and per-dimension histograms weighted by inverse metric, both over the
@@ -27,14 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import write_csv
-from .metric import MetricBreakdown, MetricConfig, evaluate_metric
+from .metric import MetricBreakdown, MetricConfig, score_batch
 from .network import (
     CellConfig,
     DeviceParams,
     DispersionCurve,
     FrequencyGrid,
+    SimulationError,
     linear_sparams,
-    validated_response,
+    sparam_faults,
     wavenumbers,
 )
 from .snail import kerr_free_flux
@@ -204,33 +207,34 @@ def _evaluate_batch(
 ) -> list[MetricBreakdown | Exception]:
     """Simulate and score devices that share pitch and cell count.
 
-    One cascade, one ABCD to S conversion and one phase unwrap serve the
-    whole batch; each row is then validated and scored on its own.
-    Returns a breakdown or the raised exception per device.  When the
-    batched simulation raises, each device is redone as a batch of one, so
-    a failing point fails alone and with the message it gets on its own.
+    One cascade, one ABCD to S conversion, one validation, one phase
+    unwrap and one ``score_batch`` serve the whole batch.  A row that fails
+    validation gets its SimulationError and is left out of the rest.
+    Returns a breakdown or the raised exception per device.  When a
+    batched step raises, each device is redone as a batch of one, so a
+    failing point fails alone and with the message it gets on its own.
     """
     grid = metric_frequency_grid(sweep_cfg.freq_grid, metric_cfg.pump_freq)
     freqs = grid.freqs()
     try:
         sparams = linear_sparams(points, fluxes, grid, sweep_cfg.cell)
-        k = wavenumbers(freqs, sparams[1], points[0].cell_count)
+        faults = sparam_faults(freqs, sparams)
+        ok = [row for row, fault in enumerate(faults) if fault is None]
+        scores = []
+        if ok:
+            s11, s21 = sparams[0][ok], sparams[1][ok]
+            k = wavenumbers(freqs, s21, points[0].cell_count)
+            scores = score_batch(freqs, s11, s21,
+                                 DispersionCurve(freqs=freqs, k=k), metric_cfg)
     except Exception as exc:
         if len(points) == 1:
             return [exc]
         return [result for p, f in zip(points, fluxes)
                 for result in _evaluate_batch([p], [f], sweep_cfg, metric_cfg)]
 
-    results: list[MetricBreakdown | Exception] = []
-    for row in range(len(points)):
-        try:  # individual failures must not abort the sweep
-            resp = validated_response(
-                freqs, sparams, row, sweep_cfg.cell.ref_impedance)
-            disp = DispersionCurve(freqs=freqs, k=k[row])
-            results.append(evaluate_metric(resp, disp, metric_cfg))
-        except Exception as exc:
-            results.append(exc)
-    return results
+    scored = iter(scores)
+    return [next(scored) if fault is None else SimulationError(fault)
+            for fault in faults]
 
 
 def evaluate_point(
@@ -363,8 +367,8 @@ def run_sweep(
     are a pure function of (grid, configs), whatever the chunking; the only
     non-deterministic field is the wall time, each chunk's time divided by
     its size.  With a checkpoint path, completed points are appended as one
-    JSON line each and an interrupted sweep resumes exactly where it
-    stopped.
+    JSON line each, in one write and flush per chunk, and an interrupted
+    sweep resumes exactly where it stopped; a torn last line is skipped.
     """
     points = enumerate_grid(grid, sweep_cfg.cell_count)
     fluxes = [kerr_free_flux(p.alpha) for p in points]
@@ -393,22 +397,27 @@ def run_sweep(
             chunks = pool.map(_run_chunk, tasks)
         else:
             chunks = map(_run_chunk, tasks)
-        for index, breakdown, err, wall in itertools.chain.from_iterable(chunks):
-            rec = SweepRecord(
-                index=index,
-                params=points[index],
-                flux_ext=fluxes[index],
-                breakdown=breakdown,
-                failed=breakdown is None,
-                error=err,
-                wall_time=wall,
-            )
-            records[index] = rec
+        for chunk in chunks:
+            done_chunk = [
+                SweepRecord(
+                    index=index,
+                    params=points[index],
+                    flux_ext=fluxes[index],
+                    breakdown=breakdown,
+                    failed=breakdown is None,
+                    error=err,
+                    wall_time=wall,
+                )
+                for index, breakdown, err, wall in chunk
+            ]
             if ckpt_fh:
-                ckpt_fh.write(_checkpoint_line(rec) + "\n")
+                ckpt_fh.write("".join(_checkpoint_line(rec) + "\n"
+                                      for rec in done_chunk))
                 ckpt_fh.flush()
-            if progress:
-                progress(rec)
+            for rec in done_chunk:
+                records[rec.index] = rec
+                if progress:
+                    progress(rec)
 
     return [records[i] for i in range(len(points))]
 

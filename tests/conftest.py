@@ -10,18 +10,28 @@ them.
 from __future__ import annotations
 
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from twpaopt.config import load_config
 from twpaopt.metric import MetricConfig, evaluate_metric
 from twpaopt.network import (
     CellConfig,
     DeviceParams,
     FrequencyGrid,
+    build_cells,
     dispersion,
+    linear_sparams,
     simulate_linear,
+    stack_cells,
+    wavenumbers,
 )
 from twpaopt.snail import JunctionSpec, SnailSpec, expand_potential, kerr_free_flux
+from twpaopt.sweep import device_from_values, metric_frequency_grid
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
 REF_DEVICE = dict(
     junction_area=0.49,
@@ -68,6 +78,39 @@ def ref_dispersion(ref_response, ref_device):
 def ref_breakdown(ref_response, ref_dispersion):
     cfg = MetricConfig(matching_mode="direct", band=REF_BAND, pump_freq=REF_PUMP)
     return evaluate_metric(ref_response, ref_dispersion, cfg)
+
+
+@pytest.fixture(scope="session")
+def desk_batch():
+    """desk_batch(pitch): the first 16 desk grid points of one pitch.
+
+    The devices go through one ``linear_sparams`` batch on the sweep's
+    grid, as stage 1 simulates them; the namespace holds the desk config,
+    the devices and their fluxes, the stacked cells, the grid, its
+    frequencies, (s11, s21, s12, s22) and the unwrapped wavenumbers k.
+    """
+    cache = {}
+
+    def get(pitch):
+        if pitch not in cache:
+            cfg = load_config(DESK_CONFIG)
+            devices = [device_from_values(cfg.grid.point_values(i),
+                                          cfg.cell_count)
+                       for i in range(pitch - 2, 32, 2)]
+            assert {d.pitch for d in devices} == {pitch}
+            fluxes = [kerr_free_flux(d.alpha) for d in devices]
+            grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
+            freqs = grid.freqs()
+            sparams = linear_sparams(devices, fluxes, grid, cfg.cell)
+            cache[pitch] = SimpleNamespace(
+                cfg=cfg, devices=devices, fluxes=fluxes,
+                cells=stack_cells([build_cells(d, f, cfg.cell)
+                                   for d, f in zip(devices, fluxes)]),
+                grid=grid, freqs=freqs, sparams=sparams,
+                k=wavenumbers(freqs, sparams[1], cfg.cell_count))
+        return cache[pitch]
+
+    return get
 
 
 @pytest.fixture(scope="session")

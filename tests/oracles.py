@@ -8,6 +8,10 @@ form, finite differences instead of analytic derivatives, dense scans plus
 warm-started Newton instead of bracketed root finding, and plain dense
 linear algebra instead of cached Cholesky factors.
 Slow and simple on purpose.
+
+The per-device validation and metric below are the reference for the
+batched ones: one device at a time, with a 1-D np.max per worst case,
+np.interp, a 1-D np.trapezoid and the scalar abs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import ellipj
 
-from twpaopt.network import cell_abcd
+from twpaopt.metric import VERBATIM_CAP, BandCoverageError, MetricBreakdown
+from twpaopt.network import SimulationError, cell_abcd
 
 
 def nodal_ladder_sparams(series_l, shunt_c, freqs, z0):
@@ -277,3 +282,87 @@ def trapezoid_band_mean(freqs, values, lo, hi, n_dense=200001):
     else:
         ys = np.interp(xs, freqs, values)
     return np.trapezoid(ys, xs) / (hi - lo)
+
+
+class PerDeviceResponse:
+    """One device's S-parameters with the per-device validity check."""
+
+    def __init__(self, freqs, s11, s21, s12, s22):
+        self.freqs = np.asarray(freqs, dtype=float)
+        self.s11, self.s21, self.s12, self.s22 = (
+            np.asarray(s, dtype=complex) for s in (s11, s21, s12, s22))
+
+    def validate(self, passivity_tol=1e-9, reciprocity_tol=1e-12):
+        for name in ("s11", "s21", "s12", "s22"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise SimulationError(f"{name} has non-finite entries")
+        power = np.abs(self.s11) ** 2 + np.abs(self.s21) ** 2
+        worst = float(np.max(np.abs(power - 1.0))) if power.size else 0.0
+        if worst > passivity_tol:
+            raise SimulationError(
+                f"losslessness violated: max | |S11|^2+|S21|^2 - 1 | = {worst:.3e}"
+            )
+        recip = float(np.max(np.abs(self.s12 - self.s21))) if self.freqs.size else 0.0
+        if recip > reciprocity_tol:
+            raise SimulationError(
+                f"reciprocity violated: max |S12 - S21| = {recip:.3e}"
+            )
+
+
+def _interp_complex(f, freqs, values):
+    if np.iscomplexobj(values):
+        return np.interp(f, freqs, values.real) + 1j * np.interp(
+            f, freqs, values.imag
+        )
+    return np.interp(f, freqs, values)
+
+
+def per_device_band_average(freqs, values, band):
+    """Trapezoidal band mean of one device: np.interp edges, 1-D np.trapezoid."""
+    lo, hi = band
+    if lo < freqs[0] or hi > freqs[-1]:
+        raise BandCoverageError(f"band {band} outside the grid")
+    interior = (freqs > lo) & (freqs < hi)
+    xs = np.concatenate(([lo], freqs[interior], [hi]))
+    ys = np.concatenate((
+        [_interp_complex(lo, freqs, values)],
+        values[interior],
+        [_interp_complex(hi, freqs, values)],
+    ))
+    return np.trapezoid(ys, xs) / (hi - lo)
+
+
+def per_device_breakdown(freqs, s11, s21, k_freqs, k, cfg):
+    """One device's MetricBreakdown, term by term with scalar arithmetic."""
+    mean = complex(per_device_band_average(freqs, s11, cfg.band))
+    if cfg.pump_freq > k_freqs[-1] or cfg.pump_freq / 2.0 < k_freqs[0]:
+        raise BandCoverageError("pump frequency outside the dispersion grid")
+    k_p = np.interp(cfg.pump_freq, k_freqs, k)
+    k_half = np.interp(cfg.pump_freq / 2.0, k_freqs, k)
+    dk = float(abs(k_p - 2.0 * k_half))
+    f2 = 2.0 * cfg.pump_freq
+    if f2 > freqs[-1]:
+        raise BandCoverageError("second harmonic above the grid")
+    source = s21 if cfg.harmonic_use_s21 else s11
+    mag_2fp = abs(_interp_complex(f2, freqs, source))
+    mean_mag = abs(mean)
+    capped = False
+    if cfg.matching_mode == "verbatim":
+        if mean_mag < VERBATIM_CAP:
+            matching = cfg.weight_a / VERBATIM_CAP
+            capped = True
+        else:
+            matching = cfg.weight_a / mean_mag
+    else:
+        matching = cfg.weight_a * mean_mag
+    phase = cfg.weight_b * dk
+    harmonic = cfg.weight_c * mag_2fp
+    return MetricBreakdown(
+        matching_term=float(matching),
+        phase_term=float(phase),
+        harmonic_term=float(harmonic),
+        total=float(matching + phase + harmonic),
+        band_mean_s11=mean,
+        delta_k=dk,
+        matching_capped=capped,
+    )

@@ -9,13 +9,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import mini_config_doc
 
 import twpaopt
+from twpaopt import sweep as sweep_mod
 from twpaopt.cli import WORKERS_ENV, main, resolve_workers
 from twpaopt.config import ConfigError, load_config, parse_config
+from twpaopt.network import simulate_linear
 from twpaopt.pipeline import _resolve_stage3_flux, prepare_run_dir
+from twpaopt.snail import kerr_free_flux
 
 EXPECTED_FILES = (
     "config.json",
@@ -59,6 +63,7 @@ def test_pipeline_produces_all_artifacts(finished_run):
                         "stage3": "complete", "report": "complete"}
     assert manifest["stages"]["stage1"]["grid_points"] == 2
     assert manifest["stages"]["stage1"]["failed_points"] == 0
+    assert manifest["stages"]["stage1"]["failures_by_type"] == {}
 
 
 def test_pipeline_resume_skips_completed_stages(finished_run, capsys):
@@ -124,6 +129,35 @@ def test_pipeline_warns_of_a_failed_drive_point(mini_config, capsys):
     assert "warning: 1 drive point(s) failed" in capsys.readouterr().err
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["stages"]["stage3"]["failed_drive_points"] == 1
+
+
+def test_pipeline_names_the_types_of_failed_grid_points(mini_config,
+                                                        monkeypatch, capsys):
+    # The A_J 0.3 point fails in the batched scorer, recognised by its S11
+    # as in the sweep's failure-injection test.
+    config_path, run_dir = mini_config()
+    cfg = load_config(config_path)
+    target = next(p for p in sweep_mod.enumerate_grid(cfg.grid, cfg.cell_count)
+                  if p.junction_area == 0.3)
+    target_s11 = simulate_linear(
+        target, kerr_free_flux(target.alpha),
+        sweep_mod.metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq),
+        cfg.cell).s11
+    real = sweep_mod.score_batch
+
+    def poisoned(freqs, s11, s21, disp, metric_cfg):
+        if any(np.array_equal(row, target_s11) for row in s11):
+            raise RuntimeError("injected failure")
+        return real(freqs, s11, s21, disp, metric_cfg)
+
+    monkeypatch.setattr(sweep_mod, "score_batch", poisoned)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    stage1 = json.loads((run_dir / "manifest.json").read_text())["stages"][
+        "stage1"]
+    assert stage1["failed_points"] == 1
+    assert stage1["failures_by_type"] == {"RuntimeError": 1}
+    assert ("warning: 1 grid point(s) failed (RuntimeError: 1) and are "
+            "flagged in") in capsys.readouterr().err
 
 
 def test_locked_run_dir_refuses_second_writer(finished_run, capsys):

@@ -1,17 +1,26 @@
 """Scalar metric: band averaging, phase mismatch, mode arithmetic."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import trapezoid_band_mean
+from oracles import (
+    per_device_band_average,
+    per_device_breakdown,
+    trapezoid_band_mean,
+)
 from twpaopt.metric import (
     BandCoverageError,
     MetricConfig,
     VERBATIM_CAP,
     band_average,
     band_mean_s11,
+    band_means,
     delta_k,
     evaluate_metric,
+    score_batch,
+    _interp_rows,
 )
 from twpaopt.network import DispersionCurve, TwoPortResponse
 
@@ -178,3 +187,80 @@ def test_reference_device_verbatim_total(ref_response, ref_dispersion):
 def test_band_mean_s11_matches_band_average(ref_response):
     direct = band_average(ref_response.freqs, ref_response.s11, BAND)
     assert band_mean_s11(ref_response, BAND) == complex(direct)
+
+
+def score_rows(batch, rows, cfg):
+    s11, s21 = (s[rows] for s in batch.sparams[:2])
+    return score_batch(batch.freqs, s11, s21,
+                       DispersionCurve(freqs=batch.freqs, k=batch.k[rows]), cfg)
+
+
+@pytest.mark.parametrize("pitch", [2, 3])
+@pytest.mark.parametrize("mode, use_s21", [("direct", False),
+                                           ("verbatim", True)])
+def test_score_batch_is_each_device_alone_bit_for_bit(pitch, mode, use_s21,
+                                                      desk_batch):
+    # repr of a breakdown shows every float exactly, and its type.
+    batch = desk_batch(pitch)
+    cfg = replace(batch.cfg.metric, matching_mode=mode,
+                  harmonic_use_s21=use_s21)
+    scores = score_rows(batch, slice(None), cfg)
+    assert len(scores) == 16
+    s11, s21 = batch.sparams[:2]
+    for row, got in enumerate(scores):
+        want = per_device_breakdown(batch.freqs, s11[row], s21[row],
+                                    batch.freqs, batch.k[row], cfg)
+        assert repr(got) == repr(want)
+        assert repr(score_rows(batch, [row], cfg)) == repr([got])
+        resp = TwoPortResponse(batch.freqs, *(s[row] for s in batch.sparams))
+        disp = DispersionCurve(freqs=batch.freqs, k=batch.k[row])
+        assert repr(evaluate_metric(resp, disp, cfg)) == repr(got)
+
+
+def test_shared_bracket_interpolation_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (2, 7, 481):
+        freqs = np.sort(rng.uniform(0.0, 24e9, n))
+        values = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        xs = [*freqs, *(0.5 * (freqs[1:] + freqs[:-1])),
+              *rng.uniform(freqs[0], freqs[-1], 50)]
+        for x in xs:
+            got = _interp_rows(x, freqs, values)
+            for row in range(4):
+                want = (np.interp(x, freqs, values[row].real)
+                        + 1j * np.interp(x, freqs, values[row].imag))
+                assert got[row].tobytes() == want.tobytes()
+
+
+def test_band_means_are_the_1d_trapezoid_bit_for_bit():
+    rng = np.random.default_rng(11)
+    freqs = np.sort(rng.uniform(0.0, 20e9, 97))
+    values = rng.normal(size=(5, 97)) + 1j * rng.normal(size=(5, 97))
+    # Off-grid edges, edges on grid points, and the grid's own end points.
+    bands = [(4.75e9, 6.75e9), (freqs[10], freqs[60]), (freqs[0], freqs[-1]),
+             (freqs[3], 19.3e9)]
+    for band in bands:
+        means = band_means(freqs, values, band)
+        for row in range(5):
+            for v in (values[row], values[row].real):
+                want = per_device_band_average(freqs, v, band)
+                got = band_average(freqs, v, band)
+                assert type(got) is type(want)
+                assert got.tobytes() == want.tobytes()
+            assert means[row].tobytes() == per_device_band_average(
+                freqs, values[row], band).tobytes()
+
+
+def test_score_batch_coverage_errors_still_raise():
+    freqs = np.linspace(0.0, 12e9, 13)
+    s = np.full((3, 13), 0.1 + 0j)
+    disp = DispersionCurve(freqs=freqs,
+                           k=np.tile(np.linspace(0.0, 1.0, 13), (3, 1)))
+    cfg = MetricConfig(matching_mode="direct", band=BAND, pump_freq=PUMP)
+    with pytest.raises(BandCoverageError, match="second harmonic"):
+        score_batch(freqs, s, s, disp, cfg)
+    with pytest.raises(BandCoverageError, match="band edge"):
+        score_batch(freqs, s, s, disp, replace(cfg, band=(4e9, 13e9)))
+    short = DispersionCurve(freqs=freqs[:8], k=disp.k[:, :8])
+    with pytest.raises(BandCoverageError, match="pump frequency"):
+        score_batch(freqs, s, s, short, cfg)

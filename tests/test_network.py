@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    PerDeviceResponse,
     bloch_wavenumber,
     chain_abcd,
     nodal_ladder_sparams,
@@ -31,12 +32,15 @@ from twpaopt.network import (
     gate_capacitance,
     linear_sparams,
     simulate_linear,
+    sparam_faults,
     stack_cells,
 )
+from twpaopt import sweep as sweep_mod
 from twpaopt.config import load_config
 from twpaopt.constants import VACUUM_PERMITTIVITY
 from twpaopt.snail import kerr_free_flux
-from twpaopt.sweep import device_from_values, metric_frequency_grid
+from twpaopt.sweep import (SweepConfig, device_from_values,
+                           metric_frequency_grid)
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
@@ -215,19 +219,14 @@ def test_batched_cascade_matches_each_device_alone(pitch):
 
 
 @pytest.mark.parametrize("pitch", [2, 3])
-def test_desk_cascade_stays_in_the_lossless_class(pitch):
+def test_desk_cascade_stays_in_the_lossless_class(pitch, desk_batch):
     # Lossless cells have chain matrices [[a, jb], [jc, d]] with real a, b,
     # c, d, and so do their products and Chebyshev powers: the other halves
     # of the entries are exactly zero.  No growth is scaled out in the
     # passband, |x| <= 1 for the macrocell half-trace x.
-    cfg = load_config(DESK_CONFIG)
-    devices = [device_from_values(cfg.grid.point_values(i), cfg.cell_count)
-               for i in range(pitch - 2, 32, 2)]
-    assert {d.pitch for d in devices} == {pitch}
-    cells = stack_cells([build_cells(d, kerr_free_flux(d.alpha), cfg.cell)
-                         for d in devices])
-    grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
-    total = cascade(devices[0], grid, cells)
+    batch = desk_batch(pitch)
+    grid, cells = batch.grid, batch.cells
+    total = cascade(batch.devices[0], grid, cells)
     assert total.matrices.shape == (16, grid.points, 2, 2)
     m = total.matrices
     for part in (m[..., 0, 0].imag, m[..., 1, 1].imag,
@@ -338,6 +337,73 @@ def test_validate_flags_violations():
     resp = TwoPortResponse(freqs=freqs, s11=nan, s21=nan, s12=nan, s22=nan)
     with pytest.raises(SimulationError, match="non-finite"):
         resp.validate()
+
+
+def fault_alone(freqs, sparams, row, response=TwoPortResponse):
+    """The SimulationError text of one row validated alone, or None."""
+    try:
+        response(freqs, *(s[row] for s in sparams)).validate()
+    except SimulationError as exc:
+        return str(exc)
+    return None
+
+
+def poisoned_desk_sparams(batch):
+    """The desk batch's S-parameters with three rows broken, by row."""
+    s11, s21, s12, s22 = (s.copy() for s in batch.sparams)
+    s21[2, 40] = np.nan  # non-finite
+    s21[5] *= 1.001  # power 0.2 % off, still reciprocal
+    s12[5] = s21[5]
+    s12[11, 300] += 1e-9  # reciprocity only
+    return (s11, s21, s12, s22), {2: "s21 has non-finite entries",
+                                  5: "losslessness violated",
+                                  11: "reciprocity violated"}
+
+
+@pytest.mark.parametrize("pitch", [2, 3])
+def test_sparam_faults_match_each_row_alone(pitch, desk_batch):
+    batch = desk_batch(pitch)
+    assert sparam_faults(batch.freqs, batch.sparams) == [None] * 16
+    sparams, broken = poisoned_desk_sparams(batch)
+    faults = sparam_faults(batch.freqs, sparams)
+    for row, fault in enumerate(faults):
+        assert fault == fault_alone(batch.freqs, sparams, row)
+        assert fault == fault_alone(batch.freqs, sparams, row,
+                                    response=PerDeviceResponse)
+        assert (fault is None) == (row not in broken)
+        assert (fault or "").startswith(broken.get(row, ""))
+        one = sparam_faults(batch.freqs, [s[row:row + 1] for s in sparams])
+        assert one == [fault]
+
+
+def test_sparam_faults_check_grid_order_and_take_an_empty_grid():
+    freqs = np.array([0.0, 2e9, 1e9])
+    ones = np.ones((2, 3), dtype=complex)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        sparam_faults(freqs, (0 * ones, ones, ones, 0 * ones))
+    empty = np.zeros((2, 0), dtype=complex)
+    assert sparam_faults(np.zeros(0), (empty,) * 4) == [None, None]
+
+
+def test_failing_rows_fail_alone_in_a_sweep_batch(desk_batch, monkeypatch):
+    batch = desk_batch(3)
+    cfg = batch.cfg
+    sweep_cfg = SweepConfig(cell_count=cfg.cell_count,
+                            freq_grid=cfg.freq_grid, cell=cfg.cell)
+    clean = sweep_mod._evaluate_batch(batch.devices, batch.fluxes,
+                                      sweep_cfg, cfg.metric)
+    assert not any(isinstance(r, Exception) for r in clean)
+    sparams, broken = poisoned_desk_sparams(batch)
+    monkeypatch.setattr(sweep_mod, "linear_sparams",
+                        lambda *args: sparams)
+    results = sweep_mod._evaluate_batch(batch.devices, batch.fluxes,
+                                        sweep_cfg, cfg.metric)
+    for row, (got, want) in enumerate(zip(results, clean)):
+        if row in broken:
+            assert isinstance(got, SimulationError)
+            assert str(got) == fault_alone(batch.freqs, sparams, row)
+        else:
+            assert repr(got) == repr(want)
 
 
 def test_dispersion_requires_dc_anchor(ref_response):

@@ -160,23 +160,23 @@ def test_run_sweep_checkpoint_resume(tmp_path):
 def test_run_sweep_flags_failures_without_aborting(tmp_path, monkeypatch):
     grid = tiny_grid()
     sweep_cfg = tiny_sweep_cfg()
-    # The batched sweep scores each row through evaluate_metric; the
-    # poisoned row is recognised by its response, which does not depend on
-    # the batch.
+    # The batched sweep scores each batch through score_batch; a batch
+    # holding the poisoned row, recognised by its S11 (which does not
+    # depend on the batch), raises, and the sweep redoes its points alone.
     target = next(p for p in enumerate_grid(grid, sweep_cfg.cell_count)
                   if p.junction_area == 0.3 and p.capacitance_load_ratio == 1.0)
     target_s11 = simulate_linear(
         target, kerr_free_flux(target.alpha),
         metric_frequency_grid(sweep_cfg.freq_grid, METRIC.pump_freq),
         sweep_cfg.cell).s11
-    real = sweep_mod.evaluate_metric
+    real = sweep_mod.score_batch
 
-    def poisoned(resp, disp, metric_cfg):
-        if np.array_equal(resp.s11, target_s11):
+    def poisoned(freqs, s11, s21, disp, metric_cfg):
+        if any(np.array_equal(row, target_s11) for row in s11):
             raise RuntimeError("injected failure")
-        return real(resp, disp, metric_cfg)
+        return real(freqs, s11, s21, disp, metric_cfg)
 
-    monkeypatch.setattr(sweep_mod, "evaluate_metric", poisoned)
+    monkeypatch.setattr(sweep_mod, "score_batch", poisoned)
     records = run_sweep(grid, sweep_cfg, METRIC)
     failed = [r for r in records if r.failed]
     assert len(failed) == 1
