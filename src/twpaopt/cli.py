@@ -45,18 +45,10 @@ def resolve_workers(flag: int | None, cfg: RunConfig) -> int:
     return 1
 
 
-def _progress_printer(total: int):
-    done = 0
-    step = max(1, total // 20)
-
-    def callback(_record):
-        nonlocal done
-        done += 1
-        if done % step == 0 or done == total:
-            print(f"stage1: {done}/{total} points done",
-                  file=sys.stderr, flush=True)
-
-    return callback
+def _print_progress(done: int, total: int) -> None:
+    if done % max(1, total // 20) == 0 or done == total:
+        print(f"stage1: {done}/{total} points done",
+              file=sys.stderr, flush=True)
 
 
 def _warn_stage1(stage: dict, stage1_csv: str) -> None:
@@ -82,7 +74,7 @@ def _cmd_stage1(args) -> int:
     paths, manifest = prepare_run_dir(args.config, cfg)
     with RunLock(paths):
         run_stage1(cfg, paths, manifest, workers=workers,
-                   progress=_progress_printer(cfg.grid.size))
+                   progress=_print_progress)
     _warn_stage1(manifest["stages"]["stage1"], paths.stage1_csv)
     print(paths.stage1_csv)
     return 0
@@ -117,7 +109,7 @@ def _cmd_pipeline(args) -> int:
     workers = resolve_workers(args.workers, cfg)
     manifest = run_pipeline(args.config, cfg, workers=workers,
                             force=args.force,
-                            progress=_progress_printer(cfg.grid.size))
+                            progress=_print_progress)
     stages = manifest["stages"]
     for name, stage in stages.items():
         print(f"{name}: {stage['status']}")

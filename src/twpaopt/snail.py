@@ -16,6 +16,7 @@ and capacitances are SI.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,21 +29,15 @@ TWO_PI = 2.0 * np.pi
 #: Relative tolerance on the stationarity residual |U'(phi_min)| / E_Js.
 _MIN_RESIDUAL_TOL = 1e-12
 
-#: Kerr-free bias search: uniform c4 scan points over (0, 0.5] Phi0, then
-#: bisection down to this bracket width in Phi0.
-_KERR_FREE_SCAN_POINTS = 2000
+#: Kerr-free bias: the closed form picks one cell of a uniform grid of
+#: _KERR_FREE_GRID_POINTS fluxes over (0, 0.5] Phi0, and bisection narrows
+#: that cell down to _KERR_FREE_TOL Phi0.  Together they fix the output bits.
+_KERR_FREE_GRID_POINTS = 2000
 _KERR_FREE_TOL = 1e-10
-
-#: The scan finds each minimum on a _SCAN_WELL_POINTS grid over one period
-#: and refines it by _SCAN_NEWTON_STEPS Newton steps, _SCAN_BLOCK fluxes at
-#: a time.
-_SCAN_WELL_POINTS = 257
-_SCAN_NEWTON_STEPS = 12
-_SCAN_BLOCK = 125
 
 
 class NoKerrFreePointError(RuntimeError):
-    """No quartic-coefficient zero crossing exists in the scanned flux range."""
+    """No quartic-coefficient zero crossing exists in (0, 0.5) Phi0."""
 
 
 class MinimumNotFoundError(RuntimeError):
@@ -254,60 +249,40 @@ def effective_inductance(expansion: PotentialExpansion) -> float:
     return REDUCED_FLUX_QUANTUM**2 / (2.0 * expansion.c2)
 
 
-def _phase_minima(alpha: float, fluxes: np.ndarray) -> np.ndarray:
-    """Potential minimum phases at many fluxes, as one array program.
+def _kerr_free_guess(alpha: float) -> float:
+    """Closed-form flux in Phi0 where U' = 0 and c4 = 0, for alpha > 1/27.
 
-    The array counterpart of _phase_minimum_normalized: per block of
-    _SCAN_BLOCK fluxes, the grid minimum of the normalized potential over
-    one 6 pi period on _SCAN_WELL_POINTS points, then _SCAN_NEWTON_STEPS
-    vectorized Newton steps on U'/U''.  Every refined minimum must pass the
-    same stationarity and curvature checks.  Blocking keeps the
-    (fluxes x well grid) temporaries small.
+    U' = 0 gives sin u = alpha sin phi and c4 = 0 gives
+    cos u = -27 alpha cos phi, so sin^2 phi = (729 alpha^2 - 1) / (728 alpha^2)
+    on the branch with cos phi < 0, and phi_ext = phi + 3 u.
     """
-    phi_min = np.empty(fluxes.size)
-    offsets = np.linspace(-3.0 * np.pi, 3.0 * np.pi, _SCAN_WELL_POINTS)
-    for start in range(0, fluxes.size, _SCAN_BLOCK):
-        block = fluxes[start:start + _SCAN_BLOCK]
-        phi_ext = TWO_PI * block
-        grid = phi_ext[:, None] + offsets
-        u_vals = -np.cos(grid) - (3.0 / alpha) * np.cos(
-            (phi_ext[:, None] - grid) / 3.0)
-        phi = grid[np.arange(block.size), np.argmin(u_vals, axis=1)]
-        # A step through U'' <= 0 leaves a non-finite phase, which the
-        # checks below reject.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_SCAN_NEWTON_STEPS):
-                phi = phi - _u1(alpha, phi_ext, phi) / _u2(alpha, phi_ext, phi)
-            residual = np.abs(_u1(alpha, phi_ext, phi))
-            curvature = _u2(alpha, phi_ext, phi)
-        bad = np.nonzero(~((residual < _MIN_RESIDUAL_TOL) & (curvature > 0.0)))[0]
-        if bad.size:
-            k = int(bad[0])
-            raise MinimumNotFoundError(
-                f"minimum search failed: residual={residual[k]:.3e} E_Js/rad, "
-                f"curvature={curvature[k]:.3e} E_Js "
-                f"(alpha={alpha}, flux_ext={float(block[k])})"
-            )
-        phi_min[start:start + block.size] = phi
-    return phi_min
+    phi = math.pi - math.asin(
+        math.sqrt((729.0 * alpha**2 - 1.0) / (728.0 * alpha**2)))
+    return (phi + 3.0 * math.asin(alpha * math.sin(phi))) / TWO_PI
 
 
 @functools.lru_cache(maxsize=1024)
 def _kerr_free_flux_normalized(alpha: float) -> float:
-    fluxes = np.linspace(0.0, 0.5, _KERR_FREE_SCAN_POINTS + 1)[1:]
-    # The scan only decides the bracket, through the sign of c4.
-    phi_ext = TWO_PI * fluxes
-    sign = np.sign(_u4(alpha, phi_ext, _phase_minima(alpha, fluxes)))
-
-    sign_change = np.nonzero(np.diff(sign) != 0)[0]
-    if sign_change.size == 0:
+    if alpha <= 1.0 / 27.0:
         raise NoKerrFreePointError(
-            f"no c4 zero crossing in (0, 0.5) Phi0 for alpha={alpha}"
+            f"no closed-form Kerr-free bias for alpha={alpha} <= 1/27")
+    fluxes = np.linspace(0.0, 0.5, _KERR_FREE_GRID_POINTS + 1)[1:]
+    guess = _kerr_free_guess(alpha)
+    i = int(np.searchsorted(fluxes, guess, side="right")) - 1
+    if not 0 <= i < fluxes.size - 1:
+        raise NoKerrFreePointError(
+            f"closed-form Kerr-free bias {guess} Phi0 is off the "
+            f"({fluxes[0]}, {fluxes[-1]}) Phi0 grid for alpha={alpha}"
         )
-    i = int(sign_change[0])
     lo, hi = float(fluxes[i]), float(fluxes[i + 1])
+    # The closed form only picks the cell; the scalar minimum search checks
+    # it and the bisection sets the bits.
+    f_lo = _expansion_normalized(alpha, lo)[3]
+    if not f_lo * _expansion_normalized(alpha, hi)[3] < 0.0:
+        raise NoKerrFreePointError(
+            f"c4 does not change sign over [{lo}, {hi}] Phi0 for alpha={alpha}"
+        )
 
-    f_lo = sign[i]
     while hi - lo > _KERR_FREE_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = _expansion_normalized(alpha, mid)[3]
@@ -321,18 +296,19 @@ def _kerr_free_flux_normalized(alpha: float) -> float:
 
 
 def kerr_free_flux(alpha: float) -> float:
-    """Smallest flux in (0, 0.5) Phi0 where the quartic coefficient vanishes.
+    """The flux in (0, 0.5) Phi0 where the quartic coefficient vanishes.
 
-    Located once per alpha in two steps.  The c4 sign is scanned over
-    _KERR_FREE_SCAN_POINTS fluxes as arrays: a coarse well grid plus
-    vectorized Newton steps find every minimum at once.  The first sign
-    change brackets the bias, which scalar bisection through the full
-    minimum search (_expansion_normalized) narrows to _KERR_FREE_TOL Phi0.
-    Only the scan's sign pattern feeds the bisection.  Depends on alpha
-    alone: every coefficient is proportional to E_Js, so the junction scale
-    drops out.  Raises NoKerrFreePointError when no sign change exists for
-    the given alpha, or when the cubic coefficient vanishes there, and
-    MinimumNotFoundError when a scanned minimum fails to converge.
+    Located once per alpha in two steps.  The closed form of U' = c4 = 0
+    picks the cell of a _KERR_FREE_GRID_POINTS flux grid that holds the
+    bias, and the scalar minimum search (_expansion_normalized) checks that
+    c4 changes sign across it.  Bisection through the same search then
+    narrows the cell to _KERR_FREE_TOL Phi0.  Depends on alpha alone: every
+    coefficient is proportional to E_Js, so the junction scale drops out.
+    Raises NoKerrFreePointError when there is no closed form (alpha <= 1/27),
+    when it falls off the grid, when c4 keeps its sign across the cell, or
+    when the cubic coefficient vanishes at the bias, and
+    MinimumNotFoundError when the minimum search fails at a cell end or a
+    bisection point.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -369,6 +369,8 @@ def run_sweep(
     its size.  With a checkpoint path, completed points are appended as one
     JSON line each, in one write and flush per chunk, and an interrupted
     sweep resumes exactly where it stopped; a torn last line is skipped.
+    ``progress(done, total)`` is called after each new record, with done
+    counting the resumed records too.
     """
     points = enumerate_grid(grid, sweep_cfg.cell_count)
     fluxes = [kerr_free_flux(p.alpha) for p in points]
@@ -417,7 +419,7 @@ def run_sweep(
             for rec in done_chunk:
                 records[rec.index] = rec
                 if progress:
-                    progress(rec)
+                    progress(len(records), len(points))
 
     return [records[i] for i in range(len(points))]
 

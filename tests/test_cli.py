@@ -334,6 +334,26 @@ def test_stage1_resumes_bitwise_after_a_signal(tmp_path, uninterrupted_stage1,
             == (uninterrupted_stage1 / "stage1_analysis.json").read_bytes())
 
 
+def test_resumed_stage1_progress_reaches_the_grid_size(tmp_path, capsys):
+    grid = dict(RESUME_GRID, t={"min": 5.0, "max": 9.0, "step": 2.0},
+                L_load={"min": 1.5, "max": 1.5, "step": 0.5},
+                pitch={"min": 2, "max": 2, "step": 1})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        mini_config_doc(tmp_path / "run", grid=grid)))
+    assert main(["stage1", "--config", str(config_path)]) == 0
+    checkpoint = tmp_path / "run" / "stage1_checkpoint.jsonl"
+    lines = checkpoint.read_text().splitlines(keepends=True)
+    total = len(lines)
+    checkpoint.write_text("".join(lines[:5]))
+    capsys.readouterr()
+
+    assert main(["stage1", "--config", str(config_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"stage1: {total}/{total} points done"
+    assert len(checkpoint.read_text().splitlines()) == total
+
+
 def test_optimize_without_stage1_is_config_error(mini_config, capsys):
     config_path, _ = mini_config()
     assert main(["optimize", "--config", str(config_path)]) == 2

@@ -16,7 +16,6 @@ import twpaopt.snail as snail
 from twpaopt.constants import REDUCED_FLUX_QUANTUM
 from twpaopt.snail import (
     JunctionSpec,
-    MinimumNotFoundError,
     NoKerrFreePointError,
     PotentialExpansion,
     SnailSpec,
@@ -137,10 +136,20 @@ def test_effective_inductance_rejects_unstable_expansion():
 
 
 def test_kerr_free_flux_frozen_values():
-    assert kerr_free_flux(0.23) == pytest.approx(
-        0.38447551700472826, abs=1e-9)
-    assert kerr_free_flux(0.25) == pytest.approx(
-        0.3922943570911884, abs=1e-9)
+    assert kerr_free_flux(0.23) == float.fromhex("0x1.89b3f32e978d4p-2")
+    assert kerr_free_flux(0.25) == float.fromhex("0x1.91b59ca872b01p-2")
+
+
+def test_kerr_free_flux_near_the_double_well_edge():
+    # Just above alpha = 1/3 the minimum at flux 0.5 loses its curvature,
+    # far from the bias: the bias must still be found.
+    alpha = 0.33345689223057645
+    flux = kerr_free_flux(alpha)
+    assert flux == pytest.approx(kerr_free_flux_scan(alpha, n_flux=4000),
+                                 abs=1e-6)
+    below = expand_potential(make_spec(alpha=alpha, flux=flux - 1e-3)).c4
+    above = expand_potential(make_spec(alpha=alpha, flux=flux + 1e-3)).c4
+    assert below * above < 0
 
 
 @pytest.mark.parametrize("alpha", [0.23, 0.25])
@@ -172,8 +181,9 @@ def test_kerr_free_flux_exists_with_live_cubic_term(alpha):
 
 
 #: Kerr-free bias from the scalar scan (a brentq minimum search at each of
-#: the 2000 scan fluxes), as hex floats, at 25 alphas spread evenly over
-#: [0.03, 0.5]; None where c4 never changes sign.
+#: the 2000 grid fluxes, first c4 sign change, then bisection), as hex
+#: floats, at 25 alphas spread evenly over [0.03, 0.5]; None where c4 never
+#: changes sign.
 SCAN_ALPHAS = np.linspace(0.03, 0.5, 25)
 SCALAR_SCAN_FLUX = (
     None,
@@ -206,40 +216,30 @@ SCALAR_SCAN_FLUX = (
 
 @pytest.mark.parametrize("alpha,expected", zip(SCAN_ALPHAS, SCALAR_SCAN_FLUX))
 def test_vectorized_scan_picks_the_scalar_well_and_bracket(alpha, expected):
+    # The closed-form cell is the scan's bracket, so the bisection and its
+    # bits are the scan's too.
     alpha = float(alpha)
-    fluxes = np.linspace(0.0, 0.5, snail._KERR_FREE_SCAN_POINTS + 1)[1:]
-    phi = snail._phase_minima(alpha, fluxes)
-    sign = np.sign(snail._u4(alpha, snail.TWO_PI * fluxes, phi))
-
-    # Same well as the scalar minimum search, and the same c4 sign.
-    sample = np.arange(0, fluxes.size, 16)
-    scalar = [snail._expansion_normalized(alpha, float(fluxes[j]))
-              for j in sample]
-    np.testing.assert_allclose(phi[sample], [e[0] for e in scalar],
-                               rtol=0, atol=1e-9)
-    np.testing.assert_array_equal(sign[sample],
-                                  np.sign([e[3] for e in scalar]))
-
-    changes = np.nonzero(np.diff(sign))[0]
     if expected is None:
-        assert changes.size == 0
         with pytest.raises(NoKerrFreePointError):
             kerr_free_flux(alpha)
         return
-    # Same bracket as the scalar scan, hence bitwise the same bisection.
-    i = int(changes[0])
-    for j in (i, i + 1):
-        c4 = snail._expansion_normalized(alpha, float(fluxes[j]))[3]
-        assert np.sign(c4) == sign[j]
-    assert fluxes[i] < float.fromhex(expected) < fluxes[i + 1]
+    fluxes = np.linspace(0.0, 0.5, snail._KERR_FREE_GRID_POINTS + 1)[1:]
+    i = int(np.searchsorted(fluxes, snail._kerr_free_guess(alpha),
+                            side="right")) - 1
+    lo, hi = float(fluxes[i]), float(fluxes[i + 1])
+    c4_lo = snail._expansion_normalized(alpha, lo)[3]
+    c4_hi = snail._expansion_normalized(alpha, hi)[3]
+    assert np.sign(c4_lo) == -np.sign(c4_hi) != 0
+    assert lo < float.fromhex(expected) < hi
     assert kerr_free_flux(alpha) == float.fromhex(expected)
 
 
-def test_scan_rejects_a_minimum_that_does_not_converge(monkeypatch):
-    # Without Newton steps the grid minimum is off by up to half a grid step.
-    monkeypatch.setattr(snail, "_SCAN_NEWTON_STEPS", 0)
+def test_kerr_free_flux_rejects_a_cell_without_a_sign_change(monkeypatch):
+    step = 0.5 / snail._KERR_FREE_GRID_POINTS
+    guess = snail._kerr_free_guess
+    monkeypatch.setattr(snail, "_kerr_free_guess", lambda a: guess(a) + step)
     snail._kerr_free_flux_normalized.cache_clear()
-    with pytest.raises(MinimumNotFoundError, match="minimum search failed"):
+    with pytest.raises(NoKerrFreePointError, match="does not change sign"):
         kerr_free_flux(0.23)
 
 

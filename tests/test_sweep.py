@@ -149,8 +149,9 @@ def test_run_sweep_checkpoint_resume(tmp_path):
     ckpt.write_text("\n".join(lines[: grid.size // 2]) + "\n{\"index\": 2,")
     seen = []
     resumed = run_sweep(grid, tiny_sweep_cfg(), METRIC, checkpoint_path=ckpt,
-                        progress=lambda r: seen.append(r.index))
-    assert len(seen) == grid.size - grid.size // 2
+                        progress=lambda done, total: seen.append((done, total)))
+    assert seen == [(done, grid.size)
+                    for done in range(grid.size // 2 + 1, grid.size + 1)]
     assert [r.metric_total for r in resumed] == [r.metric_total for r in full]
 
     done = load_checkpoint(ckpt, enumerate_grid(grid, 60))
@@ -266,8 +267,8 @@ def test_resume_inside_a_chunk_is_bitwise_equal(tmp_path):
     ckpt.write_text("\n".join(lines[:cut]) + "\n" + lines[cut][:30])
     seen = []
     resumed = run_sweep(grid, sweep_cfg, METRIC, checkpoint_path=ckpt,
-                        progress=lambda r: seen.append(r.index))
-    assert seen == list(range(cut, grid.size))
+                        progress=lambda done, _total: seen.append(done))
+    assert seen == list(range(cut + 1, grid.size + 1))
     assert list(map(record_fields, resumed)) == list(map(record_fields, full))
     reloaded = load_checkpoint(ckpt, enumerate_grid(grid, sweep_cfg.cell_count))
     assert [record_fields(reloaded[i]) for i in range(grid.size)] == list(
