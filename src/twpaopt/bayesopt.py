@@ -27,6 +27,7 @@ LENGTH_SCALE_BOUNDS = (0.01, 10.0)
 N_CANDIDATES = 4096
 N_LOCAL = 16
 LOCAL_SIGMA = 0.05
+EI_FIRST_SOLVE = 32
 FIT_STARTS = 8
 FIT_MAX_EVALS = 200
 MIN_EVALS_PER_COMBO = 10
@@ -126,14 +127,19 @@ class GpModel:
     jitter: float = 0.0
 
     @classmethod
-    def build(cls, x, y, signal_variance, length_scales, noise_variance):
-        """Factorize the training covariance with escalating jitter."""
+    def build(cls, x, y, signal_variance, length_scales, noise_variance,
+              cov=None):
+        """Factorize the training covariance with escalating jitter.
+
+        ``cov``, when given, is ``kernel(x, x, signal_variance,
+        length_scales)`` computed by the caller; it is not modified.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y lengths differ")
         offset = float(np.mean(y))
-        k = kernel(x, x, signal_variance, length_scales)
+        k = kernel(x, x, signal_variance, length_scales) if cov is None else cov
         n = x.shape[0]
         last_error = None
         for jitter_rel in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
@@ -174,6 +180,42 @@ class GpModel:
         )
 
 
+class _TrainingCovariance:
+    """``kernel(x, x, s, l)`` for one training set, bit for bit, reusing terms.
+
+    The pattern search moves one hyperparameter at a time.  The
+    per-dimension differences are computed once; a length move recomputes
+    only that dimension's scaled square and re-sums the dimensions in
+    ``_sq_dists``'s order, and a signal or noise move only rescales the
+    cached exp(-D/2).  Holds 2d + 1 arrays of shape (n, n).
+    """
+
+    def __init__(self, x: np.ndarray):
+        self._diffs = [np.subtract.outer(x[:, k], x[:, k])
+                       for k in range(x.shape[1])]
+        self._lengths = [None] * x.shape[1]
+        self._terms = [None] * x.shape[1]
+        self._exp = None
+        self._n = x.shape[0]
+
+    def __call__(self, signal_variance: float, lengths) -> np.ndarray:
+        changed = self._exp is None
+        for k, length in enumerate(lengths):
+            if length != self._lengths[k]:
+                t = self._diffs[k] / length
+                t *= t
+                self._terms[k], self._lengths[k] = t, length
+                changed = True
+        if changed:
+            total = np.zeros((self._n, self._n))
+            for t in self._terms:
+                total += t
+            total *= -0.5
+            np.exp(total, out=total)
+            self._exp = total
+        return self._exp * signal_variance
+
+
 def _pattern_search(fun, theta0, lower, upper, max_evals):
     """Greedy coordinate pattern search with shrinking steps."""
     theta = np.clip(np.asarray(theta0, dtype=float), lower, upper)
@@ -212,7 +254,8 @@ def fit_gp(
 
     Each candidate theta is scored through ``GpModel.build``, so the fit and
     the returned model share one factorization path; a theta whose
-    covariance fails every jitter level scores +inf.  ``init_theta``
+    covariance fails every jitter level scores +inf.  The covariances come
+    from one ``_TrainingCovariance`` per fit.  ``init_theta``
     (log-space [log lengths..., log signal, log noise]) warm starts the
     first search, useful when refitting during optimization.
     """
@@ -251,9 +294,11 @@ def fit_gp(
     while len(starts) < n_starts:
         starts.append(rng.uniform(lower, upper))
 
+    covariance = _TrainingCovariance(x)
+
     def neg_lml(theta):
         try:
-            model = _build_at(x, y, theta)
+            model = _build_at(x, y, theta, covariance)
         except np.linalg.LinAlgError:
             return math.inf
         return -model.log_marginal_likelihood()
@@ -265,18 +310,23 @@ def fit_gp(
             best_theta, best_val = theta, val
     if best_theta is None or not np.isfinite(best_val):
         raise np.linalg.LinAlgError("no hyperparameter start produced a finite LML")
-    return _build_at(x, y, best_theta)
+    return _build_at(x, y, best_theta, covariance)
 
 
-def _build_at(x, y, theta) -> GpModel:
-    """GpModel at a log-space theta [log lengths..., log signal, log noise]."""
+def _build_at(x, y, theta, covariance=None) -> GpModel:
+    """GpModel at a log-space theta [log lengths..., log signal, log noise].
+
+    ``covariance``, a ``_TrainingCovariance`` of x, supplies the kernel.
+    """
     d = x.shape[1]
+    signal, lengths = math.exp(theta[d]), np.exp(theta[:d])
     return GpModel.build(
         x,
         y,
-        signal_variance=math.exp(theta[d]),
-        length_scales=np.exp(theta[:d]),
+        signal_variance=signal,
+        length_scales=lengths,
         noise_variance=math.exp(theta[d + 1]),
+        cov=None if covariance is None else covariance(signal, lengths),
     )
 
 
@@ -299,15 +349,27 @@ def posterior(model: GpModel, x):
     scalar = np.asarray(x).ndim == 1
     k_star = kernel(model.x, x_arr, model.signal_variance, model.length_scales)
     mean = model.y_offset + k_star.T @ model.alpha
-    v = solve_triangular(model.chol, k_star, lower=True)
+    var = _latent_variance(model, k_star)
+    if scalar:
+        return float(mean[0]), float(var[0])
+    return mean, var
+
+
+def _latent_variance(model: GpModel, k_star: np.ndarray,
+                     overwrite: bool = False) -> np.ndarray:
+    """Posterior variance from the columns k(model.x, query), clipped at 0.
+
+    Each column's variance is bitwise independent of the other columns as
+    long as two or more are solved together: a lone column goes down a
+    different BLAS path and can differ in the last bits.  ``overwrite``
+    lets the solve work in place on a Fortran-ordered ``k_star``.
+    """
+    v = solve_triangular(model.chol, k_star, lower=True, overwrite_b=overwrite)
     v *= v
     var = model.signal_variance - np.sum(v, axis=0)
     if np.any(var < -1e-8 * model.signal_variance):
         warnings.warn("posterior variance clipped from a negative value")
-    var = np.maximum(var, 0.0)
-    if scalar:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return np.maximum(var, 0.0)
 
 
 def expected_improvement(model: GpModel, x, best=None):
@@ -317,17 +379,19 @@ def expected_improvement(model: GpModel, x, best=None):
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 1
     mean, var = posterior(model, x_arr)
-    sigma = np.sqrt(var)
-    improve = best - mean
+    ei = _ei(best - mean, np.sqrt(var))
+    return float(ei[0]) if scalar else ei
+
+
+def _ei(improve: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Elementwise EI from the improvement best - mean and the latent sigma."""
     ei = np.where(improve > 0, improve, 0.0)
     pos = sigma > 0
     if np.any(pos):
         z = improve[pos] / sigma[pos]
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        ei_pos = improve[pos] * ndtr(z) + sigma[pos] * pdf
-        ei = ei.astype(float)
-        ei[pos] = ei_pos
-    return float(ei[0]) if scalar else ei
+        ei[pos] = improve[pos] * ndtr(z) + sigma[pos] * pdf
+    return ei
 
 
 def propose_next(model: GpModel, rng: np.random.Generator) -> np.ndarray:
@@ -344,8 +408,48 @@ def propose_next(model: GpModel, rng: np.random.Generator) -> np.ndarray:
         incumbent + rng.normal(0.0, LOCAL_SIGMA, size=(N_LOCAL, d)), 0.0, 1.0
     )
     cands = np.vstack((uniform, local))
-    ei = expected_improvement(model, cands)
-    return cands[int(np.argmax(ei))]
+    return cands[_ei_argmax(model, cands)]
+
+
+def _ei_argmax(model: GpModel, cands: np.ndarray) -> int:
+    """Index of the EI maximum over cands, solving only where it can be.
+
+    Bitwise ``int(np.argmax(expected_improvement(model, cands)))``, first
+    index on ties.  EI is nondecreasing in sigma and the latent variance
+    never exceeds the signal variance, so EI at sigma_max =
+    sqrt(signal_variance) bounds every candidate (the branch-and-bound EI
+    bound of Jones, Schonlau & Welch 1998).  The EI_FIRST_SOLVE highest
+    bounds are solved exactly; one more solve covers every other candidate
+    whose bound, widened by a 1e-9 relative rounding margin, reaches their
+    best EI.  A candidate tied at the maximum is therefore always solved.
+    """
+    k_star = kernel(model.x, cands, model.signal_variance, model.length_scales)
+    # The mean needs the full product: k_star.T @ alpha on a column subset
+    # can differ in the last bits.
+    improve = float(np.min(model.y)) - (model.y_offset + k_star.T @ model.alpha)
+    sigma_max = math.sqrt(model.signal_variance)
+    bound = _ei(improve, np.full(improve.shape, sigma_max))
+    ei = np.full(improve.shape, -np.inf)
+
+    def solve(idx):
+        # k_star.T[idx].T gathers straight into Fortran order, which the
+        # solve then overwrites without a copy of its own.
+        sigma = np.sqrt(_latent_variance(model, k_star.T[idx].T, overwrite=True))
+        ei[idx] = _ei(improve[idx], sigma)
+
+    n_first = min(EI_FIRST_SOLVE, improve.size)
+    first = np.argpartition(bound, -n_first)[-n_first:]
+    solve(first)
+    slack = 1e-9 * (np.abs(improve) + sigma_max)
+    keep = bound + slack >= np.max(ei[first])
+    keep[first] = False
+    rest = np.flatnonzero(keep)
+    if rest.size == 1:
+        # Never one column alone (see _latent_variance).
+        rest = np.append(rest, first[0])
+    if rest.size:
+        solve(rest)
+    return int(np.argmax(ei))
 
 
 def latin_hypercube(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

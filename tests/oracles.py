@@ -5,8 +5,9 @@ test: nodal admittance instead of chain matrices, matrix exponentials
 instead of hyperbolic closed forms, Jacobi elliptic functions instead of
 time stepping, ordered chain products instead of the Chebyshev closed
 form, finite differences instead of analytic derivatives, dense scans plus
-warm-started Newton instead of bracketed root finding, and plain dense
-linear algebra instead of cached Cholesky factors.
+warm-started Newton instead of bracketed root finding, plain dense
+linear algebra instead of cached Cholesky factors, and a dense EI argmax
+instead of the bounded one.
 Slow and simple on purpose.
 
 The per-device validation and metric below are the reference for the
@@ -23,6 +24,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import ellipj
 
+from twpaopt.bayesopt import expected_improvement
 from twpaopt.metric import VERBATIM_CAP, BandCoverageError, MetricBreakdown
 from twpaopt.network import SimulationError, cell_abcd
 
@@ -270,6 +272,11 @@ def expected_improvement_quad(mean, var, best):
     lo = min(mean - 12.0 * sd, best - 12.0 * sd)
     value, _ = quad(lambda t: (best - t) * pdf(t), lo, best, limit=200)
     return value
+
+
+def ei_argmax_dense(model, cands):
+    """EI argmax with every candidate solved: one dense triangular solve."""
+    return int(np.argmax(expected_improvement(model, cands)))
 
 
 def trapezoid_band_mean(freqs, values, lo, hi, n_dense=200001):

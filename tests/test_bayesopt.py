@@ -9,17 +9,23 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from oracles import (
+    ei_argmax_dense,
     expected_improvement_quad,
     gp_posterior_dense,
     log_marginal_likelihood_dense,
     sq_exp_kernel_loops,
 )
+from twpaopt import bayesopt
 from twpaopt.bayesopt import (
+    EI_FIRST_SOLVE,
     LENGTH_SCALE_BOUNDS,
     GpModel,
     HistoryEntry,
     MIN_EVALS_PER_COMBO,
     SearchSpace,
+    _TrainingCovariance,
+    _ei_argmax,
+    _latent_variance,
     expected_improvement,
     fit_gp,
     fitted_theta,
@@ -202,6 +208,35 @@ def test_fit_gp_warm_start_and_theta_round_trip():
     assert warm.log_marginal_likelihood() >= model.log_marginal_likelihood() - 1e-9
 
 
+def test_fit_gp_pinned_theta_and_lml():
+    # Pinned before the fit reused its distance terms: the same bits.
+    x, y = training_set()
+    model = fit_gp(x, y)
+    assert [float(t).hex() for t in fitted_theta(model)] == [
+        "-0x1.0657236a930b1p-2", "-0x1.2ab5db93e8711p-1",
+        "0x1.5fb161ead3070p-1", "-0x1.7069e2aa2aa5bp+4"]
+    assert model.log_marginal_likelihood().hex() == "0x1.64d4c26908c1dp+4"
+
+
+def test_training_covariance_bitwise_over_single_coordinate_moves():
+    # A pattern-search-like walk: one coordinate per step, drawn from a few
+    # values so that earlier lengths and signals come back.
+    rng = np.random.default_rng(17)
+    x = rng.uniform(size=(40, 3))
+    cov = _TrainingCovariance(x)
+    values = np.exp(np.linspace(np.log(0.01), np.log(10.0), 4))
+    lengths, signal = values[rng.integers(4, size=3)], 1.0
+    for _ in range(60):
+        i = int(rng.integers(4))
+        if i == 3:
+            signal = float(values[rng.integers(4)])
+        else:
+            lengths = lengths.copy()
+            lengths[i] = values[rng.integers(4)]
+        assert np.array_equal(cov(signal, lengths),
+                              kernel(x, x, signal, lengths))
+
+
 def test_noisy_duplicates_push_noise_up():
     # Identical inputs with conflicting targets can only be explained by
     # observation noise; the fit must not collapse it to the floor.
@@ -220,6 +255,123 @@ def test_propose_next_is_deterministic_and_bounded():
     np.testing.assert_array_equal(a, b)
     assert a.shape == (2,)
     assert np.all(a >= 0.0) and np.all(a <= 1.0)
+
+
+def candidate_set(model, rng):
+    """propose_next's candidates: uniform draws plus the incumbent's cloud."""
+    d = model.x.shape[1]
+    incumbent = model.x[int(np.argmin(model.y))]
+    local = np.clip(incumbent + rng.normal(0.0, 0.05, size=(16, d)), 0.0, 1.0)
+    return np.vstack((rng.uniform(size=(4096, d)), local))
+
+
+def solve_widths(monkeypatch):
+    """Record the column count of every variance solve."""
+    widths = []
+
+    def spy(model, k_star, overwrite=False):
+        widths.append(k_star.shape[1])
+        return _latent_variance(model, k_star, overwrite)
+
+    monkeypatch.setattr(bayesopt, "_latent_variance", spy)
+    return widths
+
+
+@pytest.mark.parametrize("n", [2, 8, 33, 129, 150])
+def test_latent_variance_of_column_subsets_is_bitwise(n):
+    # A lone column may differ in the last bits; two or more never do, in
+    # any order, in C order or gathered into Fortran order and solved in
+    # place.
+    rng = np.random.default_rng(n)
+    x, y = rng.uniform(size=(n, 3)), rng.normal(size=n)
+    model = GpModel.build(x, y, 1.3, np.array([0.3, 0.5, 0.9]), 1e-6)
+    k_star = kernel(x, rng.uniform(size=(4112, 3)), 1.3, model.length_scales)
+    full = _latent_variance(model, k_star)
+    for width in range(2, 65):
+        idx = rng.choice(4112, size=width, replace=False)
+        assert np.array_equal(_latent_variance(model, k_star[:, idx]),
+                              full[idx])
+        assert np.array_equal(
+            _latent_variance(model, k_star.T[idx].T, overwrite=True),
+            full[idx])
+
+
+def test_ei_argmax_matches_dense_on_random_models(monkeypatch):
+    widths = solve_widths(monkeypatch)
+    rng = np.random.default_rng(3)
+    pruned = 0
+    for n in np.linspace(2, 160, 25).astype(int):
+        d = int(rng.integers(1, 5))
+        x, y = rng.uniform(size=(n, d)), rng.normal(size=n)
+        lengths = np.exp(rng.uniform(*np.log(LENGTH_SCALE_BOUNDS), size=d))
+        model = GpModel.build(x, y, float(np.exp(rng.uniform(-3.0, 2.0))),
+                              lengths, float(np.exp(rng.uniform(-23.0, -5.0))))
+        cands = candidate_set(model, rng)
+        want = ei_argmax_dense(model, cands)
+        widths.clear()
+        assert _ei_argmax(model, cands) == want
+        assert widths[0] == EI_FIRST_SOLVE and all(w >= 2 for w in widths)
+        pruned += sum(widths) < len(cands)
+    # The bound must actually skip solves, not only agree.
+    assert pruned >= 10
+
+
+def test_ei_argmax_matches_dense_on_fitted_models(monkeypatch):
+    widths = solve_widths(monkeypatch)
+    rng = np.random.default_rng(8)
+    for n in (12, 40, 90):
+        x = rng.uniform(size=(n, 3))
+        y = np.log(0.5 + np.sum((x - [0.62, 0.31, 0.44]) ** 2, axis=1))
+        model = fit_gp(x, (y - y.mean()) / y.std(), n_starts=2)
+        cands = candidate_set(model, rng)
+        want = ei_argmax_dense(model, cands)
+        widths.clear()
+        assert _ei_argmax(model, cands) == want
+        assert sum(widths) < len(cands)
+
+
+def test_ei_argmax_takes_the_first_of_duplicate_maxima():
+    x, y = training_set()
+    model = GpModel.build(x, y, 1.0, np.full(2, 0.4), 1e-6)
+    rng = np.random.default_rng(5)
+    distinct = rng.uniform(size=(50, 2))
+    cands = distinct[rng.integers(50, size=400)]
+    got = _ei_argmax(model, cands)
+    assert got == ei_argmax_dense(model, cands)
+    ei = expected_improvement(model, cands)
+    tied = np.flatnonzero(ei == ei[got])
+    assert tied.size > 1 and got == tied[0]
+
+
+def test_ei_argmax_solves_a_lone_survivor_beside_a_solved_candidate(
+        monkeypatch):
+    # 33 far copies of one point share the top bound; the first solve takes
+    # 32 of them, so exactly one passes the bound afterwards.  Points on the
+    # worst training value bound far lower.
+    widths = solve_widths(monkeypatch)
+    x, y = np.array([[0.0], [0.1], [0.2]]), np.array([0.0, 1.0, 2.0])
+    model = GpModel.build(x, y, 1.0, [0.02], 1e-10)
+    cands = np.vstack((np.full((5, 1), 0.2), np.full((33, 1), 1.0),
+                       np.full((100, 1), 0.2)))
+    assert _ei_argmax(model, cands) == 5
+    assert widths == [EI_FIRST_SOLVE, 2]
+    assert ei_argmax_dense(model, cands) == 5
+
+
+def test_ei_argmax_with_every_ei_zero_returns_the_first_candidate(
+        monkeypatch):
+    # Training points far outside the unit cube and a tiny signal: every
+    # candidate's EI underflows to 0.0, nothing can be skipped, and the
+    # first candidate wins as in the dense argmax.
+    widths = solve_widths(monkeypatch)
+    x = np.array([[3.0, 3.0], [4.0, 3.0], [3.0, 4.0], [4.0, 4.0]])
+    model = GpModel.build(x, np.array([0.0, 10.0, 10.0, 10.0]), 1e-6,
+                          [0.1, 0.1], 1e-12)
+    cands = candidate_set(model, np.random.default_rng(0))
+    assert _ei_argmax(model, cands) == 0
+    assert sum(widths) == len(cands)
+    assert not np.any(expected_improvement(model, cands))
+    assert ei_argmax_dense(model, cands) == 0
 
 
 @given(n=st.integers(2, 40), d=st.integers(1, 5),
@@ -263,6 +415,87 @@ def test_optimize_metric_finds_quadratic_minimum():
     assert abs(result.best_params["x"] - 0.3) < 0.05
     assert abs(result.best_params["y"] - 0.7) < 0.05
     assert result.best_metric < 0.105
+
+
+# Criterion 06's quadratic with budget 60 and seed 0: every entry's x0, x1,
+# x2 and metric as hex floats.
+QUADRATIC_HISTORY = """
+    0x1.697974c8ecc39p-1 0x1.cbb5362f17080p-11 0x1.a5046faff527fp-3 0x1.50d9762a338d2p-1
+    0x1.8741332a7975fp-2 0x1.38c67b15eb344p-2 0x1.b2c5e01c1b262p-1 0x1.72b587a054492p-1
+    0x1.a3491802feb67p-4 0x1.ddda9c50f4d40p-1 0x1.59191338edb26p-1 0x1.3612d690e3a2cp+0
+    0x1.44c94eeb783e4p-3 0x1.8ccf8d3f2fd55p-1 0x1.34c3612aa0275p-2 0x1.e58a5e4596278p-1
+    0x1.56f193cfd1be9p-2 0x1.69428aed4d598p-1 0x1.1af282a8a7182p-1 0x1.803b530c3e30dp-1
+    0x1.36b301dca8294p-1 0x1.1e643dbc4ce76p-1 0x1.dd05170f38665p-1 0x1.9bb337bf1a098p-1
+    0x1.c5c222b5930f8p-1 0x1.7878613b63254p-3 0x1.568fdb91caa6cp-5 0x1.7d9f8bee76098p-1
+    0x1.ba4b9d9605af1p-1 0x1.9c69bfa77b688p-2 0x1.8469d476c2fcbp-2 0x1.24bcb16188b46p-1
+    0x1.ae7b86bc5f9a6p-1 0x1.d317f854e075ep-1 0x1.1af9456e464aep-1 0x1.d930bcc405620p-1
+    0x1.ccf38c2da5c47p-1 0x1.a57d3b2761a24p-2 0x1.1965ee7753378p-2 0x1.3b7bffe3db998p-1
+    0x1.905084389e27dp-1 0x1.1aa26b9310305p-1 0x1.59cc0c8982fb8p-2 0x1.30c365d70b53dp-1
+    0x1.ff2b438c0eb9ap-1 0x1.7c96fb47390f8p-2 0x1.6cc5e5843c29ep-2 0x1.4ed7dff13a1bdp-1
+    0x1.773b0b3e0737ep-1 0x1.bb6e43938699ap-2 0x1.9d0d886c4cf08p-2 0x1.0ef5ef5373f0cp-1
+    0x1.042f96915fdadp-1 0x1.707ef1e851df0p-3 0x1.b9569faff5e24p-2 0x1.0f1b2972f832dp-1
+    0x1.3a3d74173e8d3p-1 0x1.c2c89b3dbb4e0p-4 0x1.b7391ab7d0348p-2 0x1.148d34237dcd6p-1
+    0x1.1b7ae45758d9fp-1 0x1.c35f573b271b8p-2 0x1.9b5bf9c51c5b0p-2 0x1.0bc2f68bdda88p-1
+    0x1.d77eeb508d100p-6 0x1.c012ab975dd98p-2 0x1.dd6d9fd033116p-2 0x1.bba6bee0f8299p-1
+    0x1.3dbc7370e8251p-1 0x1.97c148a685adcp-1 0x1.9f5144ed1ad70p-2 0x1.79bc848aeaa90p-1
+    0x1.ff6fc7d3859ddp-1 0x1.07caddd7023f0p-4 0x1.ba30cc058c698p-2 0x1.686c2032af39ep-1
+    0x1.ab1a72197942cp-3 0x1.7fe4620fbe2a0p-4 0x1.93a4e1c90e6d6p-2 0x1.6fb3c99adfb9bp-1
+    0x1.20a1665a6d91dp-1 0x1.271c45aa5e78ep-2 0x1.3ef0024e2c2c0p-2 0x1.0a52e14068eb4p-1
+    0x1.382fb17c71c40p-1 0x1.13a1423d19c9cp-2 0x1.afee2e2300034p-2 0x1.0113b19f90087p-1
+    0x1.817a9fa8253a9p-1 0x1.11bbd7b2a9444p-2 0x1.3dd24a07ca6dfp-1 0x1.1ab3642f906f8p-1
+    0x1.ec332775f6227p-1 0x1.4ce1cec9ac094p-2 0x1.fd85fc5c9c9bap-1 0x1.d991746ad7810p-1
+    0x1.83e1b0b203814p-2 0x1.9aba0c4d15ea4p-2 0x1.0508263a6b450p-5 0x1.77531edbfa844p-1
+    0x1.3c33f927ad30bp-1 0x1.33c0d26f0e5cap-2 0x1.bc2273931ff70p-2 0x1.0011a7b1953b3p-1
+    0x1.3188722ef4852p-1 0x1.3d1788622b92ap-2 0x1.c851db24ed992p-2 0x1.004b0ce712ebfp-1
+    0x1.41e33c9096d3cp-1 0x1.1f0b849e2d82cp-2 0x1.ca7e89f73a968p-2 0x1.00853df07091cp-1
+    0x1.2bda8d9ea68fcp-1 0x1.57590cac91890p-2 0x1.e56d533166279p-2 0x1.0186812a1705ap-1
+    0x1.3852e76d8020bp-1 0x1.34f7e5cca42a8p-2 0x1.d2995f1e98f28p-2 0x1.0036371af6974p-1
+    0x1.708ad4f2cc680p-8 0x1.8ae3c6445d6c0p-5 0x1.b1b80fa2815eap-1 0x1.1c9a76049d79cp+0
+    0x1.5faff78349f60p-6 0x1.5e1be9cfe16a8p-4 0x1.7f8e13746fc00p-8 0x1.18de17d623819p+0
+    0x1.47e58f0df4d36p-1 0x1.5221091cf1406p-2 0x1.be06073e798bfp-2 0x1.006ebf995b049p-1
+    0x1.455497c16fbf9p-1 0x1.4039a56077f72p-2 0x1.d18ff12d77141p-2 0x1.003c3b92b37fap-1
+    0x1.41060c3080c50p-1 0x1.3d90434f5344dp-2 0x1.b1a431218d562p-2 0x1.002a33fc7c856p-1
+    0x1.f9501405963d7p-1 0x1.f5de4c2aa9b5cp-1 0x1.e5a120bfaa757p-1 0x1.57a732d3322f8p+0
+    0x1.431f567c46d16p-1 0x1.41517ed76cb98p-2 0x1.b9653a2833c2ep-2 0x1.001c86178beacp-1
+    0x1.830ae4d2bb9a0p-6 0x1.efd9c6aebb4a4p-2 0x1.ff0006f729ab8p-1 0x1.328b45f0919dap+0
+    0x1.aa4358620434ap-2 0x1.fd80e2011b409p-1 0x1.fef749639d569p-1 0x1.527e703cc7f58p+0
+    0x1.f04a2073e7ac6p-1 0x1.f54f8de1cb7e5p-1 0x1.0f47a47746780p-8 0x1.427d10777c209p+0
+    0x1.2a07c98be5759p-1 0x1.e69f732a91b00p-8 0x1.f2f56cbb638cap-1 0x1.c1e6365150910p-1
+    0x1.ec480dc5ccce0p-3 0x1.eee1e2953d5fap-1 0x1.8516eb9bf0f00p-9 0x1.442551f4fed96p+0
+    0x1.f98ba716f4e12p-1 0x1.3cbfce2314950p-5 0x1.e1ce21eef27edp-1 0x1.eb5441e6782c4p-1
+    0x1.4c5e753a756c0p-7 0x1.3e2c3833a6de4p-1 0x1.148b917d8d000p-8 0x1.28a8604869c12p+0
+    0x1.8042166a0d157p-1 0x1.ba9767095eb02p-2 0x1.13ce0fd8b4880p-8 0x1.719aa2ee3ae6ap-1
+    0x1.b53f9ea498e18p-2 0x1.0bd0a7132d560p-5 0x1.360608754ad40p-7 0x1.9959a567097cap-1
+    0x1.0d1bad73151a0p-6 0x1.f391b8014e4d1p-1 0x1.ff003d0685bbep-1 0x1.9e709a1628f3bp+0
+    0x1.da8e4955e5718p-2 0x1.9508f8ed40b2ap-2 0x1.4c8a94be07581p-1 0x1.26c496d0ca4b9p-1
+    0x1.9d76198870980p-2 0x1.54813cf23a158p-3 0x1.bb943b67de652p-2 0x1.228a64b358cd3p-1
+    0x1.4bcf16e66f172p-1 0x1.81cec136a4da4p-3 0x1.d42b99d272246p-2 0x1.0820a8000438dp-1
+    0x1.f1d2286fdc060p-3 0x1.5b49930cd1294p-2 0x1.cbd20e30d6254p-2 0x1.4937a36b15be7p-1
+    0x1.2143e53f5eb68p-2 0x1.4e68a8a70942ep-1 0x1.185513c6296f9p-1 0x1.7c87dbbad29c0p-1
+    0x1.08fa93a6bf96ap-1 0x1.069d2b069d86ap-2 0x1.5afc1e4514393p-1 0x1.23c5dbd642f98p-1
+    0x1.be43e59dd16afp-1 0x1.9f13bd17eecbcp-1 0x1.fff64b7ac32bdp-1 0x1.20a561795638cp+0
+    0x1.4c04b28edde1fp-1 0x1.215fc0afa774cp-2 0x1.888e3838919aap-2 0x1.02714a8191126p-1
+    0x1.3e7d1561660acp-2 0x1.af7ebd3e37df5p-1 0x1.71befd3b385edp-1 0x1.eaf747acacc52p-1
+    0x1.374ccd7b5ed4dp-1 0x1.8897eac19cd2cp-1 0x1.94f7937f547dap-1 0x1.a9f6f7206afbcp-1
+    0x1.b7f055acdafc4p-2 0x1.609db330b7fa6p-2 0x1.db552e5c9a000p-2 0x1.1375a37f09a13p-1
+    0x1.0f974a51e9e64p-2 0x1.93ee4bf761bb0p-4 0x1.95c9e4b4b71d8p-2 0x1.584ca4a7b97dfp-1
+    0x1.c572d13966658p-2 0x1.85a535c4e1f27p-1 0x1.fd97f1e98a581p-1 0x1.0b0d83455a074p+0
+"""
+
+
+def test_optimize_metric_quadratic_history_pinned():
+    target = {"x0": 0.62, "x1": 0.31, "x2": 0.44}
+    space = SearchSpace(
+        continuous=tuple((name, 0.0, 1.0) for name in target))
+
+    def objective(params):
+        return 0.5 + sum((params[n] - target[n]) ** 2 for n in target)
+
+    result = optimize_metric(space, objective, budget=60, seed=0)
+    got = [[h.params[n].hex() for n in target] + [h.metric.hex()]
+           for h in result.history]
+    want = [line.split() for line in QUADRATIC_HISTORY.strip().splitlines()]
+    assert got == want
 
 
 def test_optimize_metric_is_deterministic():
