@@ -152,7 +152,11 @@ class GpModel:
             except np.linalg.LinAlgError as exc:
                 last_error = exc
                 continue
-            alpha = cho_solve((chol, True), y - offset)
+            # A NaN or inf in x, y or the covariance reaches alpha: numpy's
+            # Cholesky returns NaN rather than raising.
+            alpha = cho_solve((chol, True), y - offset, check_finite=False)
+            if not np.all(np.isfinite(alpha)):
+                raise ValueError("GP training data or covariance not finite")
             return cls(
                 x=x,
                 y=y,
@@ -364,7 +368,8 @@ def _latent_variance(model: GpModel, k_star: np.ndarray,
     different BLAS path and can differ in the last bits.  ``overwrite``
     lets the solve work in place on a Fortran-ordered ``k_star``.
     """
-    v = solve_triangular(model.chol, k_star, lower=True, overwrite_b=overwrite)
+    v = solve_triangular(model.chol, k_star, lower=True, overwrite_b=overwrite,
+                         check_finite=False)
     v *= v
     var = model.signal_variance - np.sum(v, axis=0)
     if np.any(var < -1e-8 * model.signal_variance):

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .metric import band_average
 from .network import (
@@ -69,6 +68,7 @@ from .network import (
     dispersion,
     simulate_linear,
 )
+from .roots import brentq
 from .snail import JunctionSpec, PotentialExpansion, SnailSpec, expand_potential
 
 RK4_STEP = 0.05

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import REDUCED_FLUX_QUANTUM
+from .roots import brentq
 
 TWO_PI = 2.0 * np.pi
 

@@ -149,6 +149,19 @@ def test_build_validates_shapes():
         GpModel.build(np.zeros((3, 2)), np.zeros(4), 1.0, [0.5, 0.5], 1e-6)
 
 
+@pytest.mark.parametrize("where", ["x", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_rejects_non_finite_data(where, bad):
+    x, y = training_set()
+    x, y = x.copy(), y.copy()
+    if where == "x":
+        x[3, 1] = bad
+    else:
+        y[3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        GpModel.build(x, y, 1.0, np.full(2, 0.4), 1e-6)
+
+
 def test_expected_improvement_against_quadrature():
     x, y = training_set()
     model = GpModel.build(x, y, 1.0, np.full(2, 0.4), 1e-6)

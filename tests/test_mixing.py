@@ -559,6 +559,28 @@ def test_depletion_bound_is_where_the_first_column_depletes(
         *mixing.XI_BRACKET) == mixing.XI_BRACKET[1]
 
 
+def test_depletion_bound_frozen_value(ref_dispersion, ref_expansion):
+    bound = mixing._depletion_bound(ref_dispersion, ref_expansion,
+                                    drive(step=0.05e9), 360,
+                                    *mixing.XI_BRACKET)
+    assert bound == float.fromhex("0x1.70e420e4a22d9p-2")
+
+
+@pytest.mark.parametrize("target_db, tol_db, max_iter, xi, band_mean_db", [
+    (20.0, 0.25, 40, "0x1.440bbb536e55ap-3", "0x1.4000000000038p+4"),
+    # One iteration does not converge: the root finder's last iterate.
+    (70.0, 1.0, 1, "0x1.a7156928914b6p-2", "0x1.18245750077fep+6"),
+])
+def test_solve_working_point_frozen_values(ref_dispersion, ref_expansion,
+                                           target_db, tol_db, max_iter, xi,
+                                           band_mean_db):
+    sol = solve_working_point(ref_dispersion, ref_expansion,
+                              drive(step=0.05e9), 360, target_db, tol_db,
+                              max_iter)
+    assert sol.xi == float.fromhex(xi)
+    assert sol.band_mean_db == float.fromhex(band_mean_db)
+
+
 def test_solve_working_point_20db_is_closed_form(
         ref_dispersion, ref_expansion, integrate_calls, monkeypatch):
     profile_calls = []

@@ -140,6 +140,18 @@ def test_kerr_free_flux_frozen_values():
     assert kerr_free_flux(0.25) == float.fromhex("0x1.91b59ca872b01p-2")
 
 
+@pytest.mark.parametrize("alpha, flux, expected", [
+    (0.05, 0.01, "0x1.bf9c3d849288ep-5"),
+    (0.1, 0.25, "0x1.48601ad71d7b6p+0"),
+    (0.23, 0.38, "0x1.b26faad944a21p+0"),
+    (0.25, 0.2, "0x1.7daac63f24a2dp-1"),
+    (0.29, 0.45, "0x1.05ab0e1d6fd78p+1"),
+    (0.32, 0.499, "0x1.7f72107cb9b5dp+1"),
+])
+def test_phase_minimum_frozen_values(alpha, flux, expected):
+    assert snail._phase_minimum_normalized(alpha, flux) == float.fromhex(expected)
+
+
 def test_kerr_free_flux_near_the_double_well_edge():
     # Just above alpha = 1/3 the minimum at flux 0.5 loses its curvature,
     # far from the bias: the bias must still be found.
