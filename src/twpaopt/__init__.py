@@ -18,17 +18,14 @@ from .bayesopt import (
 from .config import ConfigError, DriveConfig, RunConfig, load_config
 from .metric import MetricBreakdown, MetricConfig, band_average, evaluate_metric
 from .mixing import (
-    CmeInputs,
     DriveSpec,
     GainProfile,
     bias_device,
     coupling_constant,
     gain_profile,
-    integrate_cme,
     optimize_working_point,
     performance,
     solve_working_point,
-    undepleted_gain,
 )
 from .network import (
     CellConfig,
@@ -72,7 +69,6 @@ __version__ = TOOL_VERSION
 __all__ = [
     "CellConfig",
     "CellImmittance",
-    "CmeInputs",
     "ConfigError",
     "DeviceParams",
     "DispersionCurve",
@@ -109,7 +105,6 @@ __all__ = [
     "find_phase_minimum",
     "fit_gp",
     "gain_profile",
-    "integrate_cme",
     "josephson_inductance",
     "kerr_free_flux",
     "load_config",
@@ -126,7 +121,6 @@ __all__ = [
     "simulate_linear",
     "solve_working_point",
     "table_grid",
-    "undepleted_gain",
     "write_touchstone",
     "__version__",
 ]

@@ -11,48 +11,35 @@ pump input A_p(0) = xi, the pump current in units of twice the small
 junction critical current.  The coupling g0 comes from the cubic/quadratic
 coefficient ratio of the biased loop potential.
 
-Gain profiles are computed in closed form first.  With the pump held at
-its input the signal power gain is |cosh(g x) + (i dk / 2 g) sinh(g x)|^2
-with g = sqrt(g0^2 - (dk/2)^2), continued to oscillatory behavior when the
-mismatch dominates.  The signal is seeded at SEED_RATIO of the pump, so by
-Manley-Rowe (|A_s|^2 + |A_p|^2 is conserved) the pump gives up
-SEED_RATIO^2 (G - 1) of its power, and the closed form's relative gain
-error is about 0.5-0.6 times that depletion.  Only the columns -- each
-(xi, tone) pair -- whose predicted depletion exceeds HALVING_TOL are
-integrated, so every column meets the same tolerance.  xi is the one drive
+Each column -- one (xi, tone) pair -- has constant coefficients and an empty
+idler at x = 0, so the equations have an exact solution with the pump
+depleting, for any dk (Armstrong, Bloembergen, Ducuing & Pershan, Phys.
+Rev. 127, 1918 (1962)).  With real inputs A_s(0) = s0 and A_p(0) = p0 the
+Manley-Rowe relations |A_s|^2 = s0^2 + u and |A_p|^2 = p0^2 - u leave one
+equation for the idler power u = |A_i|^2,
+
+    (du/dx)^2 = 4 kappa^2 u (u1 - u) (u - u2),
+
+where u1 > 0 > u2 are the roots of 4 kappa^2 (s0^2 + u)(p0^2 - u) = dk^2 u.
+From u(0) = 0 it is
+
+    u(x) = u1 |u2| / (u1 - u2) sd^2(kappa sqrt(u1 - u2) x | m)
+
+with complementary parameter m_c = 1 - m = |u2| / (u1 - u2).  In the gain
+regime m_c is about (s0 / p0)^2, so ``_sncndn`` takes m_c itself rather
+than m, whose distance from 1 would be lost to rounding.
+
+The signal is seeded at SEED_RATIO of the pump, so a column's signal power
+gain G = (s0^2 + u) / s0^2 stays below 1 + SEED_RATIO^-2, and by Manley-Rowe
+the pump gives up SEED_RATIO^2 (G - 1) of its power.  xi is the one drive
 variable: ``gain_profile`` takes it directly, and ``optimize_working_point``
 turns a list of pump currents into one xi array and returns the index of
-the best.
-
-``solve_working_point`` finds the drive for a target band-mean gain
-instead.  Each tone's closed-form gain rises monotonically with xi, so the
-depletion bound -- the largest xi whose columns all stay in closed form --
-is one root of the closed form, and a target below the band mean there is
-solved with every evaluation in closed form.  Only a target above it
-brackets with the largest drive and integrates.
-
-Integration is fixed-step RK4 in the pump frame B_p = A_p exp(-i dk x):
-
-    dA_s/dx = i kappa B_p conj(A_i)
-    dA_i/dx = i kappa B_p conj(A_s)
-    dB_p/dx = -i dk B_p + i kappa A_s A_i
-
-which has no explicit x, so no phase factor is evaluated per step; B_p is
-rotated back by exp(i dk x) where amplitudes are returned.  A zero pump
-stays exactly zero in this frame and the signal is left untouched.
-
-Every integrated column runs in one loop together with its step-halving
-copy: per step the copies take their first h/2 step in the same array
-operations as the h step of the originals, then their second h/2 step
-alone.  The two runs must agree component by component to HALVING_TOL
-relative, each amplitude on its own scale, so error in the small signal is
-not hidden behind the pump.  The conserved Manley-Rowe combinations
-|A_s|^2 - |A_i|^2 and |A_s|^2 + |A_p|^2 also check accuracy.
+the best.  ``solve_working_point`` finds the drive for a target band-mean
+gain instead, with one root-find over XI_BRACKET.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -71,15 +58,13 @@ from .network import (
 from .roots import brentq
 from .snail import JunctionSpec, PotentialExpansion, SnailSpec, expand_potential
 
+#: The integration step the removed RK4 used.  Only the traced
+#: ``attach_gain_profile`` hook of ``perfbench/worker.py`` reads it, to
+#: estimate RK4 steps per call; ROADMAP item 5's benchmark change deletes it.
 RK4_STEP = 0.05
 SEED_RATIO = 1e-6
-HALVING_TOL = 1e-6
 #: Drive bracket (xi) of ``solve_working_point``.
 XI_BRACKET = (1e-3, 0.499)
-
-
-class AccuracyError(RuntimeError):
-    """Step-halving disagreement above tolerance."""
 
 
 class WorkingPointError(RuntimeError):
@@ -122,46 +107,6 @@ class DriveSpec:
             )
         if not self.signal_step > 0:
             raise ValueError("signal grid step must be positive")
-
-
-@dataclass(frozen=True)
-class CmeInputs:
-    """Per-tone wavenumbers (rad/cell), coupling, and device length."""
-
-    k_s: float
-    k_i: float
-    k_p: float
-    g0: float
-    n_cells: int
-
-    def __post_init__(self):
-        if self.n_cells <= 0:
-            raise ValueError("cell count must be positive")
-        if self.g0 < 0:
-            raise ValueError("coupling g0 cannot be negative")
-
-    @property
-    def delta_k(self) -> float:
-        return self.k_p - self.k_s - self.k_i
-
-
-@dataclass
-class CmeTrajectory:
-    """Amplitudes along the line, one sample per RK4 step."""
-
-    x: np.ndarray = field(repr=False)
-    a_s: np.ndarray = field(repr=False)
-    a_i: np.ndarray = field(repr=False)
-    a_p: np.ndarray = field(repr=False)
-
-    def manley_rowe_drift(self) -> tuple[float, float]:
-        """Max drift of the two conserved combinations along the line."""
-        d1 = np.abs(self.a_s) ** 2 - np.abs(self.a_i) ** 2
-        d2 = np.abs(self.a_s) ** 2 + np.abs(self.a_p) ** 2
-        return (
-            float(np.max(np.abs(d1 - d1[0]))),
-            float(np.max(np.abs(d2 - d2[0]))),
-        )
 
 
 #: Column header of a gain-profile table, one row per signal tone.
@@ -247,178 +192,59 @@ def coupling_constant(expansion: PotentialExpansion, xi, k_s, k_i):
     return abs(expansion.c3) / (2.0 * expansion.c2) * xi * np.sqrt(k_s * k_i)
 
 
-def undepleted_gain(g0, delta_k, n_cells: int):
-    """Closed-form undepleted-pump signal power gain over n_cells.
+def _sncndn(u, m_c):
+    """Jacobi sn, cn and dn of ``u`` at complementary parameter m_c = 1 - m.
 
-    Uses the complex square root, so the exponential branch
-    (g0 > |dk|/2) and the oscillatory branch continue into each other.
-    ``g0`` and ``delta_k`` broadcast against each other; scalars give a
-    float, arrays an array of the broadcast shape.  A gain beyond the float
-    range is +inf.
+    Bulirsch's descending Landen transformation (Numer. Math. 7, 78 (1965)):
+    the arithmetic-geometric mean of 1 and sqrt(m_c), then back down from
+    sin and cos of the scaled argument.  Every element takes the same 14
+    AGM steps, enough for any 0 < m_c <= 1 down to the smallest float;
+    steps past convergence only repeat the converged mean.  ``u`` and
+    ``m_c`` broadcast.
     """
-    if n_cells <= 0:
-        raise ValueError("cell count must be positive")
-    g0 = np.asarray(g0, dtype=float)
-    delta_k = np.asarray(delta_k, dtype=float)
-    g = np.sqrt((g0 * g0 - 0.25 * delta_k * delta_k).astype(complex))
-    x = float(n_cells)
-    gx = g * x
-    near_zero = np.abs(gx) < 1e-8
-    # g x is real (gain grows) or imaginary (bounded), so any overflow
-    # means |value|^2 = cosh^2 + (dk/2 sinh/g)^2 is past the float range:
-    # the square overflows past g x ~ 355, cosh and sinh past ~ 710, and
-    # then inf * 0 in the complex product gives NaN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # sinh(g x)/g, with its series x (1 + (g x)^2 / 6) as g -> 0.
-        sinhc = np.where(near_zero, x * (1.0 + gx * gx / 6.0),
-                         np.sinh(gx) / np.where(near_zero, 1.0, g))
-        value = np.cosh(gx) + 0.5j * delta_k * sinhc
-        gain = value.real * value.real + value.imag * value.imag
-    overflowed = np.isnan(gain) & np.isfinite(g0) & np.isfinite(delta_k)
-    gain = np.where(overflowed, np.inf, gain)
-    return float(gain) if gain.ndim == 0 else gain
+    a, b = np.broadcast_arrays(np.ones_like(m_c, dtype=float),
+                               np.sqrt(m_c))
+    means = []
+    for _ in range(14):
+        means.append((a, b))
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    w = np.asarray(u, dtype=float) * a
+    sn, cn = np.sin(w), np.cos(w)
+    moving = sn != 0.0  # sn = 0 keeps (0, +-1, 1)
+    ratio = np.where(moving, cn, 1.0) / np.where(moving, sn, 1.0)
+    c = a * ratio
+    dn = np.ones_like(c)
+    for am, gm in reversed(means):
+        ratio = ratio * c
+        c = c * dn
+        dn = (gm + ratio) / (am + ratio)
+        ratio = c / am
+    s = np.copysign(1.0 / np.sqrt(c * c + 1.0), sn)
+    return (np.where(moving, s, sn), np.where(moving, c * s, cn),
+            np.where(moving, dn, 1.0))
 
 
-def _rhs(y, ck, cd, out, tmp):
-    """Pump-frame right-hand side times the step, per column, into ``out``.
+def idler_power(kappa, delta_k, s0, p0, x):
+    """Idler power |A_i(x)|^2 of the coupled mode equations, exactly.
 
-    ck = i kappa h and cd = -i dk h per column; y rows are (A_s, A_i, B_p).
+    The inputs are A_s(0) = s0 >= 0, A_i(0) = 0 and A_p(0) = p0 >= 0 with
+    coupling ``kappa`` and mismatch ``delta_k`` per cell; every argument
+    broadcasts.  The roots u1, u2 enter scaled by kappa^2, so no coupling,
+    no signal or no pump gives exactly 0 without dividing by zero.  The
+    signal power is s0^2 plus the result, the pump power p0^2 minus it.
     """
-    np.multiply(ck, y[2], out=tmp)
-    np.conjugate(y[1::-1], out=out[:2])
-    out[:2] *= tmp
-    np.multiply(cd, y[2], out=out[2])
-    np.multiply(y[0], y[1], out=tmp)
-    tmp *= ck
-    out[2] += tmp
-
-
-def _rk4_step(y, ck, cd, k, acc, ytmp, tmp):
-    """One classical RK4 step of every column of y, in place.
-
-    k holds each stage's h-scaled slope in turn, acc = k1 + 2 k2 + 2 k3 + k4
-    and ytmp the next stage's input; tmp is one row of scratch.
-    """
-    _rhs(y, ck, cd, k, tmp)
-    np.copyto(acc, k)
-    np.multiply(k, 0.5, out=ytmp)
-    ytmp += y
-    _rhs(ytmp, ck, cd, k, tmp)
-    np.multiply(k, 0.5, out=ytmp)
-    ytmp += y
-    k *= 2.0
-    acc += k
-    _rhs(ytmp, ck, cd, k, tmp)
-    np.add(y, k, out=ytmp)
-    k *= 2.0
-    acc += k
-    _rhs(ytmp, ck, cd, k, tmp)
-    acc += k
-    acc *= 1.0 / 6.0
-    y += acc
-
-
-def _integrate(a0, kappa, delta_k, n_cells, step, keep_path=False):
-    """RK4 over x in [0, n_cells] at step h and at h/2, in one loop.
-
-    ``a0`` is (3, F): (A_s, A_i, A_p) at x = 0 for F independent columns,
-    with per-column ``kappa`` and ``delta_k``.  h = n_cells / n with
-    n = round(n_cells / step), which must be at least 1.  The state is (3, 2F): columns [0:F] take one
-    step h while columns [F:2F] take their first h/2 step in the same array
-    operations, then [F:2F] alone take their second h/2 step.
-
-    Returns the amplitudes at x = n_cells from the h run and from the h/2
-    run, each (3, F); with ``keep_path`` also the sample points
-    x = 0, h, ..., n_cells and the h run along them, (n + 1, 3, F).
-    """
-    if not step > 0 or round(n_cells / step) < 1:
-        raise ValueError(
-            f"integration step {step!r} must be positive and below "
-            f"2 * n_cells = {2 * n_cells} to take at least one RK4 step"
-        )
-    n_steps = int(round(n_cells / step))
-    h = n_cells / n_steps
-    a0 = np.asarray(a0, dtype=complex)
-    f = a0.shape[1]
-    kappa = np.broadcast_to(kappa, (f,))
-    delta_k = np.broadcast_to(delta_k, (f,))
-    h_col = np.repeat([h, 0.5 * h], f)
-    ck = 1j * np.tile(kappa, 2) * h_col
-    cd = -1j * np.tile(delta_k, 2) * h_col
-    # B_p(0) = A_p(0): the pump frame coincides with the lab frame at x = 0.
-    y = np.tile(a0, 2)
-    bufs = [np.empty_like(y) for _ in range(3)] + [np.empty(2 * f, complex)]
-    half = (y[:, f:], ck[f:], cd[f:]) + tuple(b[..., f:] for b in bufs)
-    path = [a0.copy()] if keep_path else None
-    for _ in range(n_steps):
-        _rk4_step(y, ck, cd, *bufs)
-        _rk4_step(*half)
-        if keep_path:
-            path.append(y[:, :f].copy())
-    # Back to the lab frame: A_p = B_p exp(i dk x).
-    y[2] *= np.tile(np.exp(1j * delta_k * n_cells), 2)
-    full, halved = y[:, :f], y[:, f:]
-    if not keep_path:
-        return full, halved
-    xs = np.linspace(0.0, float(n_cells), n_steps + 1)
-    path = np.array(path)
-    path[:, 2] *= np.exp(1j * np.outer(xs, delta_k))
-    return full, halved, xs, path
-
-
-def _halving_error(full, half):
-    """Per-column max over components of |full - half| / |half|.
-
-    Each component is compared on its own scale, floored at 1e-9 of the
-    column's largest amplitude: the signal seed sits orders of magnitude
-    below the pump, so dividing by the column maximum would hide
-    integration error in exactly the mode whose gain is being measured.
-    """
-    mag = np.abs(half)
-    scale = np.maximum(np.max(mag, axis=0), 1e-300)
-    denom = np.maximum(mag, 1e-9 * scale)
-    return np.max(np.abs(full - half) / denom, axis=0)
-
-
-def _halving_failure(err: float) -> AccuracyError | None:
-    """The AccuracyError for a step-halving error above HALVING_TOL."""
-    if err <= HALVING_TOL:
-        return None
-    return AccuracyError(
-        f"step-halving disagreement {err:.3e} exceeds {HALVING_TOL}; "
-        f"reduce the integration step"
-    )
-
-
-def integrate_cme(
-    inputs: CmeInputs,
-    initial,
-    step: float = RK4_STEP,
-    accuracy_check: bool = True,
-) -> CmeTrajectory:
-    """Integrate the coupled mode equations from given initial amplitudes.
-
-    ``initial`` is (A_s(0), A_i(0), A_p(0)); kappa is g0 / |A_p(0)| (zero
-    pump input propagates unchanged).  With ``accuracy_check`` the half-step
-    run must agree to HALVING_TOL, component by component in relative
-    terms, otherwise AccuracyError suggests a smaller step.
-    """
-    a0 = np.asarray(initial, dtype=complex).reshape(3, 1)
-    xi = float(np.abs(a0[2, 0]))
-    kappa = inputs.g0 / xi if xi > 0 else 0.0
-    final, final_half, xs, path = _integrate(
-        a0, kappa, inputs.delta_k, inputs.n_cells, step, keep_path=True
-    )
-    if accuracy_check:
-        failure = _halving_failure(float(_halving_error(final, final_half)[0]))
-        if failure is not None:
-            raise failure
-    return CmeTrajectory(
-        x=xs,
-        a_s=path[:, 0, 0],
-        a_i=path[:, 1, 0],
-        a_p=path[:, 2, 0],
-    )
+    k2 = np.square(kappa)
+    q = k2 * s0 * p0
+    beta = k2 * (np.square(p0) - np.square(s0)) - 0.25 * np.square(delta_k)
+    # With q = 0 the idler stays empty; beta = -1 keeps the formula finite.
+    beta = np.where(q > 0.0, beta, -1.0)
+    # kappa^2 u1 and kappa^2 u2 solve v^2 - beta v - q^2 = 0: the root of
+    # beta's sign by the quadratic formula, the other from their product.
+    spread = np.hypot(beta, 2.0 * q)  # kappa^2 (u1 - u2)
+    outer = 0.5 * (np.abs(beta) + spread)
+    m_c = np.where(beta < 0.0, outer, q * q / outer) / spread
+    sn, _, dn = _sncndn(np.sqrt(spread) * x, m_c)
+    return q * s0 * p0 / spread * np.square(sn / dn)
 
 
 def signal_idler_grid(drive: DriveSpec) -> np.ndarray:
@@ -439,52 +265,29 @@ def _tones(disp, drive):
 
 
 def _gain_profiles(disp, expansion, drive, n_cells, xis):
-    """Gain profile, or the AccuracyError that rejects it, for each xi.
+    """Gain profile for each xi.
 
     Tones come from ``drive``; xi == 0 is the flat zero profile.  Every
-    (xi > 0, tone) column first gets the undepleted closed form G, with the
+    (xi > 0, tone) column takes the exact depleted-pump gain, with the
     signal seeded at SEED_RATIO * xi and the idler empty, so by Manley-Rowe
-    the pump loses SEED_RATIO^2 (G - 1) of its power.  Only columns whose
-    predicted depletion exceeds HALVING_TOL -- where the closed form stops
-    being accurate to that tolerance, or overflows to inf -- integrate, as
-    columns of one _integrate call; the step-halving guard applies to each
-    xi over its integrated columns.
+    the pump loses SEED_RATIO^2 (G - 1) of its power.
     """
+    if n_cells <= 0:
+        raise ValueError("cell count must be positive")
     f_s, k_s, k_i, mismatch = _tones(disp, drive)
     zeros = np.zeros_like(f_s)
     flat = GainProfile(freqs=f_s, gain_db=zeros, pump_depletion=zeros)
-    driven = np.array([xi for xi in xis if xi != 0.0])
+    driven = np.array([xi for xi in xis if xi != 0.0])[:, None]
     if not driven.size:
         return [flat for _ in xis]
 
-    g0 = coupling_constant(expansion, driven[:, None], k_s, k_i)
-    delta_k = np.broadcast_to(mismatch, g0.shape)
-    gain = undepleted_gain(g0, delta_k, n_cells)
-    err = np.zeros_like(gain)
-    depleted = ~(SEED_RATIO**2 * (gain - 1.0) <= HALVING_TOL)
-    if np.any(depleted):
-        pump = np.broadcast_to(driven[:, None], g0.shape)[depleted]
-        seed = SEED_RATIO * pump
-        a0 = np.zeros((3, pump.size), dtype=complex)
-        a0[0] = seed
-        a0[2] = pump
-        final, final_half = _integrate(
-            a0, g0[depleted] / pump, delta_k[depleted], n_cells, RK4_STEP
-        )
-        err[depleted] = _halving_error(final, final_half)
-        gain[depleted] = np.abs(final[0] / seed) ** 2
-    gain_db = 10.0 * np.log10(gain)
-    depletion = np.maximum(SEED_RATIO**2 * (gain - 1.0), 0.0)
-    solved = iter(zip(err.max(axis=1), gain_db, depletion))
-    out = []
-    for xi in xis:
-        if xi == 0.0:
-            out.append(flat)
-            continue
-        e, g, d = next(solved)
-        out.append(_halving_failure(float(e))
-                   or GainProfile(freqs=f_s, gain_db=g, pump_depletion=d))
-    return out
+    g0 = coupling_constant(expansion, driven, k_s, k_i)
+    seed = SEED_RATIO * driven
+    gain = (seed * seed + idler_power(g0 / driven, mismatch, seed, driven,
+                                      n_cells)) / (seed * seed)
+    solved = iter(zip(10.0 * np.log10(gain), SEED_RATIO**2 * (gain - 1.0)))
+    return [flat if xi == 0.0 else GainProfile(f_s, *next(solved))
+            for xi in xis]
 
 
 def gain_profile(
@@ -495,15 +298,9 @@ def gain_profile(
     xi: float,
 ) -> GainProfile:
     """Signal gain across the band at drive xi, idler at f_p - f_s, seeded
-    from vacuum scale.
-
-    Each signal frequency takes the undepleted closed form unless its
-    predicted pump depletion exceeds HALVING_TOL; those integrate as
-    columns of one RK4 loop with their half-step verification columns.
-    """
+    from vacuum scale; each signal frequency takes the exact depleted-pump
+    gain."""
     [profile] = _gain_profiles(disp, expansion, drive, n_cells, [float(xi)])
-    if isinstance(profile, AccuracyError):
-        raise profile
     return profile
 
 
@@ -525,11 +322,11 @@ def optimize_working_point(
     """Exhaustive pump-amplitude sweep at the bias of ``expansion``.
 
     Each amplitude becomes xi = I_p / (2 I_c,small) and every xi in [0, 1)
-    is evaluated in one batch (closed form, RK4 for the columns that
-    deplete the pump).  Scores each drive by band-mean gain; ties resolve
-    to the first listed amplitude.  Per-drive failures (an xi outside
-    [0, 1), a step-halving rejection) score -inf and get no profile; if
-    every drive fails the sweep itself raises.
+    is evaluated in one batch.  Scores each drive by band-mean gain; ties
+    resolve to the first listed amplitude.  A drive that fails (an xi
+    outside [0, 1), or a device the gain cannot be computed for) scores
+    -inf and gets no profile; if every drive fails the sweep itself raises,
+    naming each drive's xi and error.
     """
     amplitudes = np.asarray(pump_amplitudes_ua, dtype=float)
     if amplitudes.size == 0:
@@ -538,32 +335,24 @@ def optimize_working_point(
         raise ValueError("critical current must be positive")
     xi = amplitudes / (2.0 * i_c_small_ua)
     in_range = (xi >= 0.0) & (xi < 1.0)
-    try:
-        solved = iter(
-            _gain_profiles(disp, expansion, drive, n_cells, xi[in_range])
-        )
-    except Exception as exc:  # a failure of the device fails every drive
-        solved = itertools.repeat(exc)
-
+    errors = [None if ok else ValueError(
+        f"normalized pump amplitude {x} outside [0, 1)")
+        for x, ok in zip(xi, in_range)]
     performance_db = np.full(xi.shape, -np.inf)
     profiles = [None] * xi.size
-    last_error = None
-    for i, ok in enumerate(in_range):
-        outcome = next(solved) if ok else ValueError(
-            f"normalized pump amplitude {xi[i]} outside [0, 1)")
-        if not isinstance(outcome, Exception):
-            try:
-                performance_db[i] = performance(outcome)
-                profiles[i] = outcome
-                continue
-            except Exception as exc:
-                outcome = exc
-        last_error = outcome
+    try:
+        solved = _gain_profiles(disp, expansion, drive, n_cells, xi[in_range])
+    except Exception as exc:  # a failure of the device fails every drive
+        errors = [err or exc for err in errors]
+    else:
+        for i, profile in zip(np.flatnonzero(in_range), solved):
+            performance_db[i] = performance(profile)
+            profiles[i] = profile
     scored = [i for i, p in enumerate(profiles) if p is not None]
     if not scored:
-        raise RuntimeError(
-            f"every drive point failed; last error: {last_error}"
-        )
+        raise RuntimeError("every drive point failed: " + "; ".join(
+            f"xi {x}: {type(err).__name__}: {err}"
+            for x, err in zip(xi, errors)))
     best = scored[int(np.argmax(performance_db[scored]))]
     return WorkingPointResult(xi=xi, performance_db=performance_db,
                               profiles=profiles, best=best)
@@ -592,34 +381,6 @@ def bandwidth_3db(profile: GainProfile) -> float:
     return float(hi - lo)
 
 
-def _depletion_bound(disp, expansion, drive, n_cells, lo, hi):
-    """Largest xi in [lo, hi] at which no tone's predicted pump depletion
-    exceeds HALVING_TOL, so ``gain_profile`` stays in closed form.
-
-    Depletion SEED_RATIO^2 (G - 1) rises with xi for every tone, so the
-    bound is the root of the worst tone's excess over HALVING_TOL -- the
-    same comparison ``_gain_profiles`` makes per column.  brentq brackets
-    its root within 2 (xtol + rtol xi); a root estimate just past the bound
-    steps back by that much.
-    """
-    _f_s, k_s, k_i, mismatch = _tones(disp, drive)
-
-    def excess(xi):
-        gain = undepleted_gain(coupling_constant(expansion, xi, k_s, k_i),
-                               mismatch, n_cells)
-        return SEED_RATIO**2 * (float(np.max(gain)) - 1.0) - HALVING_TOL
-
-    if excess(hi) <= 0.0:
-        return hi
-    if excess(lo) > 0.0:
-        return lo
-    xtol, rtol = 1e-12, 4.0 * np.finfo(float).eps
-    xi = brentq(excess, lo, hi, xtol=xtol, rtol=rtol)
-    if excess(xi) > 0.0:
-        xi -= 2.0 * (xtol + rtol * xi)
-    return xi
-
-
 def solve_working_point(
     disp: DispersionCurve,
     expansion: PotentialExpansion,
@@ -631,18 +392,15 @@ def solve_working_point(
 ) -> WorkingPointSolution:
     """Drive xi in XI_BRACKET whose band-mean gain equals ``target_db``.
 
-    Band-mean gain rises monotonically with xi.  Below the depletion bound
-    every profile is closed form, so when the band mean there reaches the
-    target, brentq runs on [XI_BRACKET[0], bound] with no integration.
-    Otherwise the top of the bracket is evaluated -- integrating the
-    columns that deplete the pump -- and brentq runs on [bound, top].
-    ``max_iter`` caps brentq's iterations; a final band mean more than
-    ``tol_db`` off the target raises WorkingPointError, and a target above
-    the band mean at the top of the bracket raises UnreachableTargetError.
-    A target at or below the band mean at the bottom returns the bottom.
+    Band-mean gain rises monotonically with xi, so brentq runs on
+    XI_BRACKET.  ``max_iter`` caps its iterations; a final band mean more
+    than ``tol_db`` off the target raises WorkingPointError, and a target
+    above the band mean at the top of the bracket raises
+    UnreachableTargetError.  A target at or below the band mean at the
+    bottom returns the bottom.
 
-    Every profile comes from ``gain_profile``, the lower bracket first;
-    each xi is computed once.
+    Every profile comes from ``gain_profile``, the bottom of the bracket
+    first; each xi is computed once.
     """
     profiles = {}
 
@@ -652,13 +410,10 @@ def solve_working_point(
             profiles[xi] = (performance(profile), profile)
         return profiles[xi][0] - target_db
 
-    lo, top = XI_BRACKET
+    lo, hi = XI_BRACKET
     if shortfall(lo) >= 0.0:
         hi = xi = lo
     else:
-        hi = _depletion_bound(disp, expansion, drive, n_cells, lo, top)
-        if shortfall(hi) < 0.0 and hi < top:
-            lo, hi = hi, top
         if shortfall(hi) < 0.0:
             raise UnreachableTargetError(
                 f"target {target_db} dB unreachable below xi {hi}: the band "

@@ -1,14 +1,19 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here deliberately uses a different algorithm than the code under
-test: nodal admittance instead of chain matrices, matrix exponentials
-instead of hyperbolic closed forms, Jacobi elliptic functions instead of
-time stepping, ordered chain products instead of the Chebyshev closed
-form, finite differences instead of analytic derivatives, dense scans plus
-warm-started Newton instead of bracketed root finding, plain dense
-linear algebra instead of cached Cholesky factors, and a dense EI argmax
-instead of the bounded one.
+test: nodal admittance instead of chain matrices, time stepping and
+scipy's Jacobi elliptic functions instead of the Bulirsch elliptic closed
+form, ordered chain products instead of the Chebyshev closed form, finite
+differences instead of analytic derivatives, dense scans plus warm-started
+Newton instead of bracketed root finding, plain dense linear algebra
+instead of cached Cholesky factors, and a dense EI argmax instead of the
+bounded one.
 Slow and simple on purpose.
+
+``undepleted_gain`` is the small-signal gain the exact depleted-pump gain
+must reduce to (itself checked against a matrix exponential), and
+``cme_rk4`` integrates the coupled mode equations directly, so every
+amplitude along the line can be compared.
 
 The per-device validation and metric below are the reference for the
 batched ones: one device at a time, with a 1-D np.max per worst case,
@@ -196,6 +201,76 @@ def undepleted_gain_expm(g0, delta_k, n_cells):
     )
     u = expm(m * float(n_cells))
     return float(abs(u[0, 0]) ** 2)
+
+
+def undepleted_gain(g0, delta_k, n_cells: int):
+    """Closed-form undepleted-pump signal power gain over n_cells.
+
+    Uses the complex square root, so the exponential branch
+    (g0 > |dk|/2) and the oscillatory branch continue into each other.
+    ``g0`` and ``delta_k`` broadcast against each other; scalars give a
+    float, arrays an array of the broadcast shape.  A gain beyond the float
+    range is +inf.
+    """
+    if n_cells <= 0:
+        raise ValueError("cell count must be positive")
+    g0 = np.asarray(g0, dtype=float)
+    delta_k = np.asarray(delta_k, dtype=float)
+    g = np.sqrt((g0 * g0 - 0.25 * delta_k * delta_k).astype(complex))
+    x = float(n_cells)
+    gx = g * x
+    near_zero = np.abs(gx) < 1e-8
+    # g x is real (gain grows) or imaginary (bounded), so any overflow
+    # means |value|^2 = cosh^2 + (dk/2 sinh/g)^2 is past the float range:
+    # the square overflows past g x ~ 355, cosh and sinh past ~ 710, and
+    # then inf * 0 in the complex product gives NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sinh(g x)/g, with its series x (1 + (g x)^2 / 6) as g -> 0.
+        sinhc = np.where(near_zero, x * (1.0 + gx * gx / 6.0),
+                         np.sinh(gx) / np.where(near_zero, 1.0, g))
+        value = np.cosh(gx) + 0.5j * delta_k * sinhc
+        gain = value.real * value.real + value.imag * value.imag
+    overflowed = np.isnan(gain) & np.isfinite(g0) & np.isfinite(delta_k)
+    gain = np.where(overflowed, np.inf, gain)
+    return float(gain) if gain.ndim == 0 else gain
+
+
+def cme_rk4(kappa, delta_k, initial, n_cells, step):
+    """Coupled mode equations by classical fixed-step RK4 in the lab frame.
+
+    dA_s/dx = i kappa A_p conj(A_i) e^(-i dk x), dA_i/dx = i kappa A_p
+    conj(A_s) e^(-i dk x), dA_p/dx = i kappa A_s A_i e^(i dk x), with the
+    phase factors evaluated at every stage.  ``initial`` is (A_s(0),
+    A_i(0), A_p(0)); its entries, ``kappa`` and ``delta_k`` broadcast, each
+    element an independent column.  The step is n_cells / round(n_cells /
+    step).  Returns the sample points x = 0, h, ..., n_cells and the
+    amplitudes there, shaped (n + 1, 3, *columns).
+    """
+    n_steps = round(n_cells / step)
+    h = n_cells / n_steps
+
+    def rhs(x, a):
+        a_s, a_i, a_p = a
+        phase = np.exp(-1j * delta_k * x)
+        return np.array([
+            1j * kappa * a_p * np.conj(a_i) * phase,
+            1j * kappa * a_p * np.conj(a_s) * phase,
+            1j * kappa * a_s * a_i / phase,
+        ])
+
+    shape = np.broadcast_shapes(np.shape(kappa), np.shape(delta_k),
+                                *(np.shape(a) for a in initial))
+    a = np.array([np.broadcast_to(v, shape) for v in initial], dtype=complex)
+    path = [a]
+    for j in range(n_steps):
+        x = j * h
+        k1 = rhs(x, a)
+        k2 = rhs(x + 0.5 * h, a + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, a + 0.5 * h * k2)
+        k4 = rhs(x + h, a + h * k3)
+        a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path.append(a)
+    return np.linspace(0.0, float(n_cells), n_steps + 1), np.array(path)
 
 
 def depleted_pump_intensities(kappa, s0, p0, x):

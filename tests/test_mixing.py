@@ -1,17 +1,19 @@
-"""Coupled-mode integration, closed-form gain, drive-point sweep."""
-
-import re
+"""Exact depleted-pump gain, its oracles, drive-point sweep and solve."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ellipj
 
-from oracles import depleted_pump_intensities, undepleted_gain_expm
+from oracles import (
+    cme_rk4,
+    depleted_pump_intensities,
+    undepleted_gain,
+    undepleted_gain_expm,
+)
 from twpaopt import mixing
 from twpaopt.mixing import (
-    AccuracyError,
-    CmeInputs,
     DriveSpec,
     GainProfile,
     UnreachableTargetError,
@@ -20,12 +22,11 @@ from twpaopt.mixing import (
     bias_device,
     coupling_constant,
     gain_profile,
-    integrate_cme,
+    idler_power,
     optimize_working_point,
     performance,
     signal_idler_grid,
     solve_working_point,
-    undepleted_gain,
 )
 from twpaopt.network import CellConfig, DeviceParams, FrequencyGrid
 from twpaopt.snail import PotentialExpansion, kerr_free_flux
@@ -44,22 +45,25 @@ def band_wavenumbers(disp, freqs):
         disp.sample(PUMP))
 
 
-def predicted_depletion(disp, expansion, xi, freqs, n_cells=360):
-    """Manley-Rowe pump depletion of the undepleted closed form per tone."""
-    k_s, k_i, k_p = band_wavenumbers(disp, freqs)
-    gain = undepleted_gain(coupling_constant(expansion, xi, k_s, k_i),
-                           k_p - k_s - k_i, n_cells)
-    return mixing.SEED_RATIO**2 * (gain - 1.0)
-
-
 def cme_case(g0_total, dk_total, n_cells=360, xi=0.2, seed_ratio=1e-6):
-    """CmeInputs plus small-signal initial amplitudes for a given g0*N."""
-    g0 = g0_total / n_cells
-    dk = dk_total / n_cells
-    inputs = CmeInputs(k_s=0.5, k_i=0.5 - dk, k_p=1.0, g0=g0,
-                       n_cells=n_cells)
-    initial = (seed_ratio * xi, 0.0, xi)
-    return inputs, initial
+    """(kappa, delta_k, s0, p0) of a column with the given g0 N and dk N."""
+    return (g0_total / n_cells / xi, dk_total / n_cells, seed_ratio * xi, xi)
+
+
+def closed_form_gain(kappa, delta_k, s0, p0, x):
+    """Signal power gain (s0^2 + u) / s0^2 of the exact solution."""
+    return (s0 * s0 + idler_power(kappa, delta_k, s0, p0, x)) / (s0 * s0)
+
+
+def rk4_columns(disp, expansion, xi, freqs, n_cells=360, step=0.05):
+    """Oracle RK4 amplitudes at x = n_cells for every (xi, tone) column of
+    ``gain_profile``, and the signal seed."""
+    k_s, k_i, k_p = band_wavenumbers(disp, freqs)
+    xi = np.asarray(xi, dtype=float)
+    seed = mixing.SEED_RATIO * xi
+    kappa = coupling_constant(expansion, xi, k_s, k_i) / xi
+    _, path = cme_rk4(kappa, k_p - k_s - k_i, (seed, 0.0, xi), n_cells, step)
+    return path[-1], seed
 
 
 def test_undepleted_gain_against_expm_oracle():
@@ -119,21 +123,25 @@ def test_undepleted_gain_past_the_float_range_is_inf():
 
 @pytest.mark.parametrize("dk_branch", [0.0, 2.0, 10.0])
 def test_cme_small_signal_matches_analytic(dk_branch):
-    inputs, initial = cme_case(6.0, dk_branch)
-    traj = integrate_cme(inputs, initial)
-    got = abs(traj.a_s[-1] / initial[0]) ** 2
-    expected = undepleted_gain(inputs.g0, inputs.delta_k, inputs.n_cells)
+    kappa, dk, s0, p0 = cme_case(6.0, dk_branch)
+    got = closed_form_gain(kappa, dk, s0, p0, 360)
+    expected = undepleted_gain(kappa * p0, dk, 360)
     assert got == pytest.approx(expected, rel=1e-6)
 
 
 def test_cme_idler_buildup_obeys_manley_rowe():
-    inputs, initial = cme_case(4.0, 1.0, xi=0.3, seed_ratio=1e-2)
-    traj = integrate_cme(inputs, initial)
-    d_diff, d_sum = traj.manley_rowe_drift()
-    assert d_diff < 1e-8
-    assert d_sum < 1e-8
+    kappa, dk, s0, p0 = cme_case(4.0, 1.0, xi=0.3, seed_ratio=1e-2)
+    xs, path = cme_rk4(kappa, dk, (s0, 0.0, p0), 360, 0.05)
+    a_s, a_i, a_p = np.abs(path.T) ** 2
+    # The closed form takes the signal and pump from the idler by
+    # Manley-Rowe; the integration conserves both combinations on its own.
+    u = idler_power(kappa, dk, s0, p0, xs)
+    for got, ref in [(a_s, s0 * s0 + u), (a_i, u), (a_p, p0 * p0 - u)]:
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8)
+    assert np.max(np.abs(a_s - a_i - s0 * s0)) < 1e-8
+    assert np.max(np.abs(a_s + a_p - s0 * s0 - p0 * p0)) < 1e-8
     # The pump actually depletes at this seed level.
-    assert abs(traj.a_p[-1]) < 0.3
+    assert np.sqrt(p0 * p0 - u[-1]) < 0.3
 
 
 @pytest.mark.parametrize("g0n, ratio, p0", [(4.0, 1e-2, 0.3),
@@ -141,61 +149,70 @@ def test_cme_idler_buildup_obeys_manley_rowe():
                                             (10.0, 1e-1, 0.4)])
 def test_cme_depleted_pump_matches_elliptic_solution(g0n, ratio, p0):
     n = 360
-    inputs = CmeInputs(k_s=0.5, k_i=0.5, k_p=1.0, g0=g0n / n, n_cells=n)
-    s0 = ratio * p0
-    traj = integrate_cme(inputs, (s0, 0.0, p0))
-    exact = depleted_pump_intensities(inputs.g0 / p0, s0, p0, traj.x)
-    numeric = (abs(traj.a_s) ** 2, abs(traj.a_i) ** 2, abs(traj.a_p) ** 2)
-    # Along the line against the conserved total (the pump can pass through
-    # zero on the way), at the output against each intensity itself.
+    kappa, s0 = g0n / n / p0, ratio * p0
+    x = np.linspace(0.0, n, 721)
+    exact = depleted_pump_intensities(kappa, s0, p0, x)
+    u = idler_power(kappa, 0.0, s0, p0, x)
+    # Against the conserved total along the line (the pump can pass through
+    # zero on the way), at the output against each intensity itself.  The
+    # reference takes m = 1 - (s0 / p0)^2 and loses its last digits there.
     total = s0 * s0 + p0 * p0
-    for got, ref in zip(numeric, exact):
-        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9 * total)
+    for got, ref in zip((s0 * s0 + u, u, p0 * p0 - u), exact):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * total)
         assert got[-1] == pytest.approx(ref[-1], rel=1e-9)
     # The regime is depleted, not the undepleted limit in disguise.
     assert exact[2][-1] < 0.97 * p0 * p0
 
 
+def test_oracle_rk4_matches_the_elliptic_solution():
+    # The two oracles agree with each other at dk = 0, so either can
+    # stand for the exact solution.
+    kappa, s0, p0 = 6.0 / 360 / 0.2, 1e-3 * 0.2, 0.2
+    xs, path = cme_rk4(kappa, 0.0, (s0, 0.0, p0), 360, 0.05)
+    exact = depleted_pump_intensities(kappa, s0, p0, xs)
+    for got, ref in zip(np.abs(path.T) ** 2, exact):
+        np.testing.assert_allclose(got, ref, rtol=0.0,
+                                   atol=1e-12 * (s0 * s0 + p0 * p0))
+
+
 def test_cme_pump_path_is_in_the_lab_frame():
     # A weak signal leaves the pump at its input value along the whole line
-    # even when the tones are far from phase matching.
-    inputs = CmeInputs(k_s=0.4, k_i=0.5, k_p=1.0, g0=0.5 / 100, n_cells=100)
-    traj = integrate_cme(inputs, (1e-9, 0.0, 0.2))
-    np.testing.assert_allclose(traj.a_p, 0.2, rtol=1e-9)
+    # even when the tones are far from phase matching: in the lab frame of
+    # the integration and in the closed form's pump power.
+    kappa, dk, s0, p0 = 0.5 / 100 / 0.2, 0.1, 1e-9, 0.2
+    xs, path = cme_rk4(kappa, dk, (s0, 0.0, p0), 100, 0.05)
+    np.testing.assert_allclose(path[:, 2], 0.2, rtol=1e-9)
+    np.testing.assert_allclose(p0 * p0 - idler_power(kappa, dk, s0, p0, xs),
+                               0.04, rtol=1e-9)
 
 
 def test_cme_zero_pump_propagates_unchanged():
-    inputs = CmeInputs(k_s=0.4, k_i=0.5, k_p=1.0, g0=0.01, n_cells=100)
-    traj = integrate_cme(inputs, (1e-3, 0.0, 0.0))
-    assert abs(traj.a_s[-1] - 1e-3) < 1e-15
-    assert abs(traj.a_i[-1]) == 0.0
+    # No pump or no coupling leaves the idler empty and the signal as it
+    # came in, also with dk = 0 where the roots coincide.
+    for kappa, dk, p0 in [(0.0, 0.1, 0.0), (0.05, 0.1, 0.0), (0.0, 0.0, 0.2),
+                          (0.0, 0.1, 0.2)]:
+        assert idler_power(kappa, dk, 1e-3, p0, 100.0) == 0.0
 
 
-def test_cme_accuracy_guard_fires_on_coarse_step():
-    inputs, initial = cme_case(6.0, 0.0)
-    with pytest.raises(AccuracyError):
-        integrate_cme(inputs, initial, step=20.0)
-    # Disabled, the same call returns (inaccurately) instead of raising.
-    traj = integrate_cme(inputs, initial, step=20.0, accuracy_check=False)
-    assert np.isfinite(traj.a_s[-1])
+def test_cme_inputs_validation(ref_dispersion, ref_expansion):
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="cell count must be positive"):
+            gain_profile(ref_dispersion, ref_expansion, drive(),
+                         n_cells=bad, xi=0.2)
+    # g0 cannot be negative: the wavenumbers under its square root cannot.
+    with pytest.raises(ValueError, match="non-negative"):
+        coupling_constant(ref_expansion, xi=0.2, k_s=-0.1, k_i=0.5)
 
 
-@pytest.mark.parametrize("step", [25.0, 20.0, 0.0, -1.0])
-def test_cme_rejects_step_that_takes_no_rk4_step(step):
-    # n_cells 10: round(10 / 20) = round(0.5) = 0, so step 20 = 2 n_cells
-    # already gives zero steps; 0 and negative steps are never valid.
-    inputs = CmeInputs(k_s=0.4, k_i=0.5, k_p=1.0, g0=0.01, n_cells=10)
-    with pytest.raises(ValueError, match=re.escape(f"integration step {step!r}")):
-        integrate_cme(inputs, (1e-3, 0.0, 0.2), step=step)
-
-
-def test_cme_inputs_validation():
-    with pytest.raises(ValueError):
-        CmeInputs(k_s=0.5, k_i=0.5, k_p=1.0, g0=-0.1, n_cells=100)
-    with pytest.raises(ValueError):
-        CmeInputs(k_s=0.5, k_i=0.5, k_p=1.0, g0=0.1, n_cells=0)
-    inputs = CmeInputs(k_s=0.4, k_i=0.45, k_p=1.0, g0=0.1, n_cells=10)
-    assert inputs.delta_k == pytest.approx(0.15, rel=1e-12)
+def test_sncndn_matches_scipy_ellipj():
+    rng = np.random.default_rng(0)
+    m = np.concatenate((rng.uniform(0.0, 0.999, 2000), [0.0, 0.5, 0.999]))
+    u = np.concatenate((rng.uniform(-20.0, 20.0, 2000), [3.0, 0.0, -7.5]))
+    got = mixing._sncndn(u, 1.0 - m)
+    for a, b in zip(got, ellipj(u, m)[:3]):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+    # At u = 0 exactly: (0, 1, 1).
+    assert [float(v[-2]) for v in got] == [0.0, 1.0, 1.0]
 
 
 def test_drive_spec_validation():
@@ -251,59 +268,73 @@ def test_coupling_constant_over_an_xi_array_is_bitwise_per_element(
                               k_i[0])
 
 
-def test_gain_profile_halving_guard_is_per_component(
-        ref_dispersion, ref_expansion, monkeypatch):
-    spec = drive(step=0.05e9)
-    # Every column depletes the pump past the bound, so the whole profile
-    # goes through the RK4 and its guard rather than the closed form.
-    depletion = predicted_depletion(ref_dispersion, ref_expansion, 0.499,
-                                    signal_idler_grid(spec))
-    assert np.all(depletion > mixing.HALVING_TOL)
-    # At a 4-cell step the signal is off by ~1e-5 relative while the pump,
-    # the largest amplitude in each column, agrees to ~4e-7.
-    monkeypatch.setattr(mixing, "RK4_STEP", 4.0)
-    with pytest.raises(AccuracyError):
-        gain_profile(ref_dispersion, ref_expansion, spec,
-                     n_cells=360, xi=0.499)
-
-
 @pytest.mark.parametrize("xi", [0.125, 0.16, 0.1875])
 def test_gain_profile_closed_form_matches_rk4_per_column(
         ref_dispersion, ref_expansion, xi):
     profile = gain_profile(ref_dispersion, ref_expansion,
                            drive(step=0.05e9),
                            n_cells=360, xi=xi)
-    assert np.all(predicted_depletion(ref_dispersion, ref_expansion, xi,
-                                      profile.freqs) <= mixing.HALVING_TOL)
-    k_s, k_i, k_p = band_wavenumbers(ref_dispersion, profile.freqs)
-    seed = mixing.SEED_RATIO * xi
-    a0 = np.zeros((3, profile.freqs.size), dtype=complex)
-    a0[0] = seed
-    a0[2] = xi
-    kappa = coupling_constant(ref_expansion, xi, k_s, k_i) / xi
-    final, _ = mixing._integrate(a0, kappa, k_p - k_s - k_i, 360,
-                                 mixing.RK4_STEP)
+    final, seed = rk4_columns(ref_dispersion, ref_expansion, xi,
+                              profile.freqs)
     rk4_db = 10.0 * np.log10(np.abs(final[0] / seed) ** 2)
     np.testing.assert_allclose(profile.gain_db, rk4_db, rtol=0.0, atol=1e-8)
 
 
-def test_gain_profile_integrates_columns_whose_closed_form_overflows(
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gain_profile_matches_rk4_in_deep_depletion(ref_dispersion,
+                                                    ref_expansion):
+    # Every column against the oracle at the old RK4 step, and the
+    # depletion against the oracle's pump, to 1e-12 of the pump power.
+    xis = np.array([0.4, 0.45, 0.499])[:, None]
+    spec = drive(step=0.05e9)
+    final, seed = rk4_columns(ref_dispersion, ref_expansion, xis,
+                              signal_idler_grid(spec))
+    for row, xi in enumerate(xis[:, 0]):
+        profile = gain_profile(ref_dispersion, ref_expansion, spec,
+                               n_cells=360, xi=xi)
+        gain = 10.0 ** (profile.gain_db / 10.0)
+        np.testing.assert_allclose(gain, np.abs(final[0, row] / seed[row]) ** 2,
+                                   rtol=1e-9)
+        np.testing.assert_allclose(
+            profile.pump_depletion, 1.0 - np.abs(final[2, row] / xi) ** 2,
+            rtol=0.0, atol=1e-12)
+        assert_manley_rowe_depletion(profile)
+    # The top of the bracket depletes the pump by more than 1e-4.
+    assert np.max(profile.pump_depletion) > 1e-4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gain_profile_stays_finite_where_the_undepleted_gain_overflows(
         ref_dispersion):
-    # c3 / 2 c2 = 50 puts g0 N past 710 at 72 cells: the closed form is
-    # inf or NaN there, and the RK4 guard, not a NaN profile, has the say.
+    # c3 / 2 c2 = 50 puts g0 N past 710 at 72 cells: the undepleted gain is
+    # inf there, while the depleted gain stays below 1 + SEED_RATIO^-2.
     strong = PotentialExpansion(phi_min=0.0, c2=1.0, c3=100.0, c4=0.0)
     spec = drive(step=0.5e9)
-    with np.errstate(over="ignore", invalid="ignore"):
-        depletion = predicted_depletion(ref_dispersion, strong, 0.5,
-                                        signal_idler_grid(spec), n_cells=72)
-    assert not np.any(np.isfinite(depletion))
-    with pytest.raises(AccuracyError):
-        gain_profile(ref_dispersion, strong, spec, n_cells=72,
-                     xi=0.5)
+    k_s, k_i, k_p = band_wavenumbers(ref_dispersion, signal_idler_grid(spec))
+    assert np.all(undepleted_gain(coupling_constant(strong, 0.5, k_s, k_i),
+                                  k_p - k_s - k_i, 72) == np.inf)
+    profile = gain_profile(ref_dispersion, strong, spec, n_cells=72, xi=0.5)
+    gain = 10.0 ** (profile.gain_db / 10.0)
+    assert np.all(np.isfinite(profile.gain_db))
+    assert np.all((gain > 1.0) & (gain <= 1.0 + mixing.SEED_RATIO**-2))
+    assert np.all(profile.pump_depletion <= 1.0)
+    assert_manley_rowe_depletion(profile)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gain_is_exactly_one_without_coupling(ref_dispersion):
+    # c3 = 0 gives g0 = 0 for every tone: no idler, no gain, no depletion.
+    silent = PotentialExpansion(phi_min=0.0, c2=1.0, c3=0.0, c4=0.0)
+    profile = gain_profile(ref_dispersion, silent, drive(), n_cells=360,
+                           xi=0.3)
+    np.testing.assert_array_equal(profile.gain_db, 0.0)
+    np.testing.assert_array_equal(profile.pump_depletion, 0.0)
+    assert closed_form_gain(0.0, np.array([0.0, 0.02]), 1e-6, 0.3, 360.0
+                            ).tolist() == [1.0, 1.0]
 
 
 def assert_manley_rowe_depletion(profile):
-    # Floored at zero for a closed-form gain that rounds below 1.
+    # The floor covers shallow columns, where 10^(dB / 10) - 1 cancels.
     expected = mixing.SEED_RATIO**2 * (10.0 ** (profile.gain_db / 10.0) - 1.0)
     np.testing.assert_allclose(profile.pump_depletion, expected, rtol=1e-9,
                                atol=1e-24)
@@ -314,39 +345,23 @@ def test_gain_profile_depletion_is_manley_rowe(ref_profile):
     assert np.all(ref_profile.pump_depletion > 0.0)
 
 
-def test_optimize_working_point_integrates_only_depleted_columns(
-        ref_dispersion, ref_expansion, monkeypatch):
-    calls = []
-    integrate = mixing._integrate
-
-    def spy(a0, kappa, delta_k, n_cells, step, keep_path=False):
-        result = integrate(a0, kappa, delta_k, n_cells, step, keep_path)
-        calls.append((np.array(a0), result[0].copy()))
-        return result
-
-    monkeypatch.setattr(mixing, "_integrate", spy)
+def test_optimize_working_point_deep_drive_matches_gain_profile(
+        ref_dispersion, ref_expansion):
     i_c = 0.441
     amps = [0.1, 2.0 * i_c * 0.499]
     template = drive(step=0.05e9)
     result = optimize_working_point(
         ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=i_c,
         drive=template, pump_amplitudes_ua=amps)
-    shallow, deep = result.profiles
-    xi_shallow, xi_deep = (amp / (2.0 * i_c) for amp in amps)
-    freqs = signal_idler_grid(template)
-    assert np.all(predicted_depletion(ref_dispersion, ref_expansion,
-                                      xi_shallow, freqs) <= mixing.HALVING_TOL)
-    assert np.all(predicted_depletion(ref_dispersion, ref_expansion,
-                                      xi_deep, freqs) > mixing.HALVING_TOL)
-
-    [(a0, final)] = calls
-    assert a0.shape == (3, freqs.size)
-    np.testing.assert_array_equal(a0[2], xi_deep)
-    np.testing.assert_array_equal(a0[0], mixing.SEED_RATIO * xi_deep)
-    np.testing.assert_array_equal(
-        deep.gain_db, 10.0 * np.log10(np.abs(final[0] / a0[0]) ** 2))
-    for profile in (shallow, deep):
+    for xi, profile in zip(result.xi, result.profiles):
+        single = gain_profile(ref_dispersion, ref_expansion, template,
+                              n_cells=360, xi=xi)
+        np.testing.assert_allclose(profile.gain_db, single.gain_db,
+                                   rtol=1e-15, atol=0.0)
         assert_manley_rowe_depletion(profile)
+    # The deep drive depletes the pump past 1e-4, the shallow one below 1e-6.
+    assert np.max(result.profiles[1].pump_depletion) > 1e-4
+    assert np.max(result.profiles[0].pump_depletion) < 1e-6
     assert result.best == 1
 
 
@@ -447,11 +462,34 @@ def test_optimize_working_point_batch_matches_single_drives(
 
 
 def test_optimize_working_point_all_failures_raise(ref_dispersion,
-                                                   ref_expansion):
-    with pytest.raises(RuntimeError, match="every drive point failed"):
+                                                   ref_expansion, monkeypatch):
+    # Each drive is named with its own error.
+    with pytest.raises(RuntimeError, match="every drive point failed") as exc:
         optimize_working_point(
             ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.441,
             drive=drive(), pump_amplitudes_ua=[2.0, 5.0])
+    assert str(exc.value) == (
+        "every drive point failed: "
+        f"xi {2.0 / 0.882}: ValueError: normalized pump amplitude "
+        f"{2.0 / 0.882} outside [0, 1); "
+        f"xi {5.0 / 0.882}: ValueError: normalized pump amplitude "
+        f"{5.0 / 0.882} outside [0, 1)")
+
+    # A device the gain cannot be computed for fails every in-range drive
+    # with its error, next to the out-of-range ones.
+    def negative_k(disp, spec):
+        raise ValueError("negative wavenumber in the signal band")
+
+    monkeypatch.setattr(mixing, "_tones", negative_k)
+    with pytest.raises(RuntimeError) as exc:
+        optimize_working_point(
+            ref_dispersion, ref_expansion, n_cells=360, i_c_small_ua=0.441,
+            drive=drive(), pump_amplitudes_ua=[0.1, 2.0, 0.2])
+    message = str(exc.value)
+    for amp in (0.1, 0.2):
+        assert (f"xi {amp / 0.882}: ValueError: negative wavenumber in the "
+                f"signal band") in message
+    assert f"xi {2.0 / 0.882}: ValueError: normalized pump amplitude" in message
 
 
 def test_optimize_working_point_tie_breaks_to_lower_amplitude(
@@ -475,14 +513,10 @@ def test_undepleted_gain_is_at_least_unity_when_matched_enough(g0n, dkn):
 # -- working point as a solve --------------------------------------------------
 
 
-def closed_form_band_mean(disp, expansion, n_cells, xis):
-    """Band mean (dB) of the undepleted closed form, one per xi."""
-    f_s, k_s, k_i, mismatch = mixing._tones(disp, drive(step=0.05e9))
-    gain = undepleted_gain(
-        coupling_constant(expansion, np.asarray(xis)[:, None], k_s, k_i),
-        mismatch, n_cells)
-    return np.array([performance(GainProfile(f_s, 10.0 * np.log10(g), g))
-                     for g in gain])
+def exact_band_mean(disp, expansion, n_cells, xis):
+    """Band mean (dB) of the exact gain, one per xi."""
+    return np.array([performance(p) for p in mixing._gain_profiles(
+        disp, expansion, drive(step=0.05e9), n_cells, xis)])
 
 
 @pytest.fixture(scope="module")
@@ -494,20 +528,6 @@ def short_device():
                           capacitance_load_ratio=1.0, pitch=3, cell_count=120)
     return bias_device(device, kerr_free_flux(device.alpha),
                        FrequencyGrid(0.0, 24e9, 1e7), CellConfig())
-
-
-@pytest.fixture
-def integrate_calls(monkeypatch):
-    """Columns of every _integrate call, in order."""
-    calls = []
-    integrate = mixing._integrate
-
-    def spy(a0, *args, **kwargs):
-        calls.append(np.shape(a0)[1])
-        return integrate(a0, *args, **kwargs)
-
-    monkeypatch.setattr(mixing, "_integrate", spy)
-    return calls
 
 
 def bisection_bracket(disp, expansion, target=20.0, tol=0.25):
@@ -538,38 +558,13 @@ def test_closed_form_band_mean_is_monotone_in_xi(
     disp, expansion = ((short_device.dispersion, short_device.expansion)
                        if n_cells == 120 else (ref_dispersion, ref_expansion))
     xis = np.linspace(*mixing.XI_BRACKET, 2000)
-    assert np.all(np.diff(closed_form_band_mean(disp, expansion, n_cells,
-                                                xis)) > 0.0)
-
-
-def test_depletion_bound_is_where_the_first_column_depletes(
-        ref_dispersion, ref_expansion, short_device):
-    spec = drive(step=0.05e9)
-    freqs = signal_idler_grid(spec)
-    bound = mixing._depletion_bound(ref_dispersion, ref_expansion, spec, 360,
-                                    *mixing.XI_BRACKET)
-    assert bound == pytest.approx(0.3602, abs=1e-4)
-    assert np.max(predicted_depletion(ref_dispersion, ref_expansion, bound,
-                                      freqs)) <= mixing.HALVING_TOL
-    assert np.max(predicted_depletion(ref_dispersion, ref_expansion,
-                                      bound + 1e-10, freqs)) > mixing.HALVING_TOL
-    # The 120-cell device stays in closed form over the whole bracket.
-    assert mixing._depletion_bound(
-        short_device.dispersion, short_device.expansion, spec, 120,
-        *mixing.XI_BRACKET) == mixing.XI_BRACKET[1]
-
-
-def test_depletion_bound_frozen_value(ref_dispersion, ref_expansion):
-    bound = mixing._depletion_bound(ref_dispersion, ref_expansion,
-                                    drive(step=0.05e9), 360,
-                                    *mixing.XI_BRACKET)
-    assert bound == float.fromhex("0x1.70e420e4a22d9p-2")
+    assert np.all(np.diff(exact_band_mean(disp, expansion, n_cells,
+                                          xis)) > 0.0)
 
 
 @pytest.mark.parametrize("target_db, tol_db, max_iter, xi, band_mean_db", [
-    (20.0, 0.25, 40, "0x1.440bbb536e55ap-3", "0x1.4000000000038p+4"),
-    # One iteration does not converge: the root finder's last iterate.
-    (70.0, 1.0, 1, "0x1.a7156928914b6p-2", "0x1.18245750077fep+6"),
+    (20.0, 0.25, 40, "0x1.440bbb537c582p-3", "0x1.4000000001209p+4"),
+    (70.0, 0.25, 40, "0x1.a6e4f90726b17p-2", "0x1.1800000000004p+6"),
 ])
 def test_solve_working_point_frozen_values(ref_dispersion, ref_expansion,
                                            target_db, tol_db, max_iter, xi,
@@ -582,38 +577,36 @@ def test_solve_working_point_frozen_values(ref_dispersion, ref_expansion,
 
 
 def test_solve_working_point_20db_is_closed_form(
-        ref_dispersion, ref_expansion, integrate_calls, monkeypatch):
+        ref_dispersion, ref_expansion, monkeypatch):
     profile_calls = []
     monkeypatch.setattr(mixing, "gain_profile", lambda *a: (
         profile_calls.append(a[-1]) or gain_profile(*a)))
     sol = solve_working_point(ref_dispersion, ref_expansion,
                               drive(step=0.05e9), 360, 20.0, 0.25, 40)
-    assert integrate_calls == []
     assert abs(sol.band_mean_db - 20.0) < 1e-6
     assert sol.band_mean_db == performance(sol.profile)
-    assert profile_calls[0] == mixing.XI_BRACKET[0]
+    assert profile_calls[:2] == list(mixing.XI_BRACKET)
     assert sol.gain_profile_calls == len(profile_calls) <= 12
     assert len(set(profile_calls)) == len(profile_calls)
-    assert sol.bracket[0] == mixing.XI_BRACKET[0]
-    assert sol.bracket[1] == pytest.approx(0.3602, abs=1e-4)
+    assert sol.bracket == mixing.XI_BRACKET
+    assert [type(b) for b in sol.bracket] == [float, float]
 
     monkeypatch.undo()
     lo, hi = bisection_bracket(ref_dispersion, ref_expansion)
     assert lo < sol.xi < hi
 
 
-def test_solve_working_point_integrates_above_the_depletion_bound(
-        ref_dispersion, ref_expansion, integrate_calls):
-    # The band mean is 59.8 dB at the bound and 86.5 dB at xi 0.499; one
-    # secant step from that bracket lands within 1 dB of 70 dB.
+def test_solve_working_point_70db_converges_over_the_bracket(
+        ref_dispersion, ref_expansion):
+    # The band mean is 86.5 dB at xi 0.499: one root-find over the whole
+    # bracket, every column depleting the pump at the top.
     sol = solve_working_point(ref_dispersion, ref_expansion,
-                              drive(step=0.05e9), 360, 70.0, 1.0, 1)
-    assert sol.bracket[0] == pytest.approx(0.3602, abs=1e-4)
-    assert sol.bracket[1] == mixing.XI_BRACKET[1]
-    assert abs(sol.band_mean_db - 70.0) <= 1.0
+                              drive(step=0.05e9), 360, 70.0, 1e-6, 40)
+    assert sol.bracket == mixing.XI_BRACKET
+    assert abs(sol.band_mean_db - 70.0) <= 1e-6
     assert sol.bracket[0] < sol.xi < sol.bracket[1]
-    assert len(integrate_calls) == 2  # xi 0.499 and the secant point
-    assert sol.gain_profile_calls == 4
+    assert sol.gain_profile_calls <= 12
+    assert np.max(sol.profile.pump_depletion) > 1e-5
 
 
 def test_solve_working_point_unreachable_target_raises(short_device):
@@ -635,7 +628,7 @@ def test_solve_working_point_checks_the_final_point(ref_dispersion,
                             360, 20.0, 1e-9, 1)
     assert not isinstance(exc.value, UnreachableTargetError)
     assert abs(exc.value.band_mean_db - 20.0) > 1e-9
-    assert 0.0 < exc.value.xi < 0.3603
+    assert 0.0 < exc.value.xi < mixing.XI_BRACKET[1]
 
 
 def test_solve_working_point_target_below_the_bracket_returns_its_bottom(
