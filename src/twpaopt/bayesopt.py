@@ -14,13 +14,14 @@ exactly repeatable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 from scipy.special import ndtr
 
 LENGTH_SCALE_BOUNDS = (0.01, 10.0)
@@ -34,6 +35,20 @@ MIN_EVALS_PER_COMBO = 10
 REFIT_EVERY = 5
 FULL_REFIT_EVERY = 40
 WARM_FIT_EVALS = 60
+#: Jitter rungs of the training covariance, relative to the signal variance.
+JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+#: exp(x) is a normal double for x >= -700 (the smallest normal, 2**-1022,
+#: is exp(-708.40)), so numpy's SIMD exp keeps its fast path there.
+_EXP_FAST_MIN = -700.0
+#: exp(x) rounds to +0.0 for every x below -746: it is then under half the
+#: smallest subnormal, 2**-1075 = exp(-745.13).
+_EXP_ZERO_BELOW = -746.0
+#: Entries per row block of the kernel: 512 KB of float64, so a block and
+#: its temporary stay in a core's L2 cache.
+_KERNEL_BLOCK = 1 << 16
+#: LAPACK dpotrs, the solve that scipy's cho_solve calls after its checks.
+_POTRS, = get_lapack_funcs(("potrs",), (np.empty((1, 1)),))
 
 
 @dataclass(frozen=True)
@@ -85,30 +100,68 @@ class SearchSpace:
         return [dict(zip(names, vals)) for vals in itertools.product(*lists)]
 
 
-def _sq_dists(xa: np.ndarray, xb: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Scaled squared distances, summed one dimension at a time in place.
+def _sq_dists(xa: np.ndarray, xbt: np.ndarray, lengths: np.ndarray,
+              out: np.ndarray, tmp: np.ndarray) -> None:
+    """Scaled squared distances into ``out``, one dimension at a time.
 
+    ``xbt`` is xb transposed and contiguous; ``tmp`` has out's shape.
     Bitwise equal to the broadcast sum over an (n, m, d) tensor for d < 8:
-    numpy adds fewer than 8 terms left to right too, and 0 + a is exact.
+    numpy's reduction adds fewer than 8 terms left to right too, starting
+    from the first.
     """
-    total = np.zeros((xa.shape[0], xb.shape[0]))
     for k in range(xa.shape[1]):
-        t = np.subtract.outer(xa[:, k], xb[:, k])
+        t = out if k == 0 else tmp
+        np.subtract.outer(xa[:, k], xbt[k], out=t)
         t /= lengths[k]
         t *= t
-        total += t
-    return total
+        if k:
+            out += t
+
+
+def _exp_inplace(a: np.ndarray) -> None:
+    """``np.exp(a, out=a)``, bit for bit, without numpy's underflow path.
+
+    numpy's SIMD exp leaves its fast path for any vector that holds an
+    underflowing lane, and at short length scales most kernel entries
+    underflow.  Lanes below _EXP_FAST_MIN are clamped to it, exponentiated
+    on the fast path and masked to +0.0.  The lanes of the band
+    [_EXP_ZERO_BELOW, _EXP_FAST_MIN), where exp can be subnormal, go
+    through ``np.exp`` on their own, which gives the same bits: it is
+    elementwise.  NaN compares false and takes the fast path unchanged.
+    """
+    low = a < _EXP_FAST_MIN
+    if not low.any():
+        np.exp(a, out=a)
+        return
+    band = np.flatnonzero(low & (a >= _EXP_ZERO_BELOW))
+    subnormal = np.exp(a.take(band))
+    np.maximum(a, _EXP_FAST_MIN, out=a)
+    np.exp(a, out=a)
+    a *= np.logical_not(low, out=low)
+    np.put(a, band, subnormal)
 
 
 def kernel(xa, xb, signal_variance: float, length_scales) -> np.ndarray:
-    """Anisotropic squared-exponential covariance."""
+    """Anisotropic squared-exponential covariance.
+
+    Computed in blocks of rows of about _KERNEL_BLOCK entries, so that the
+    temporaries stay in cache; every entry depends on its own row only.
+    """
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
+    if xa.shape[1] == 0:
+        raise ValueError("kernel inputs need at least one dimension")
     lengths = np.asarray(length_scales, dtype=float)
-    out = _sq_dists(xa, xb, lengths)
-    out *= -0.5
-    np.exp(out, out=out)
-    out *= signal_variance
+    xbt = np.ascontiguousarray(xb.T)
+    out = np.empty((xa.shape[0], xb.shape[0]))
+    rows = max(1, _KERNEL_BLOCK // max(xb.shape[0], 1))
+    tmp = np.empty((min(rows, xa.shape[0]), xb.shape[0]))
+    for i in range(0, xa.shape[0], rows):
+        block = out[i:i + rows]
+        _sq_dists(xa[i:i + rows], xbt, lengths, block, tmp[:block.shape[0]])
+        block *= -0.5
+        _exp_inplace(block)
+        block *= signal_variance
     return out
 
 
@@ -132,7 +185,8 @@ class GpModel:
         """Factorize the training covariance with escalating jitter.
 
         ``cov``, when given, is ``kernel(x, x, signal_variance,
-        length_scales)`` computed by the caller; it is not modified.
+        length_scales)`` computed by the caller; its diagonal is
+        overwritten.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
@@ -140,48 +194,71 @@ class GpModel:
             raise ValueError("x and y lengths differ")
         offset = float(np.mean(y))
         k = kernel(x, x, signal_variance, length_scales) if cov is None else cov
-        n = x.shape[0]
-        last_error = None
-        for jitter_rel in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
-            jitter = jitter_rel * signal_variance
-            # A fresh copy per level: jitter must not pile up in k.
-            a = k.copy()
-            a.flat[::n + 1] += noise_variance + jitter
-            try:
-                chol = np.linalg.cholesky(a)
-            except np.linalg.LinAlgError as exc:
-                last_error = exc
-                continue
-            # A NaN or inf in x, y or the covariance reaches alpha: numpy's
-            # Cholesky returns NaN rather than raising.
-            alpha = cho_solve((chol, True), y - offset, check_finite=False)
-            if not np.all(np.isfinite(alpha)):
-                raise ValueError("GP training data or covariance not finite")
-            return cls(
-                x=x,
-                y=y,
-                y_offset=offset,
-                signal_variance=float(signal_variance),
-                length_scales=np.asarray(length_scales, dtype=float),
-                noise_variance=float(noise_variance),
-                chol=chol,
-                alpha=alpha,
-                jitter=jitter,
+        factor = _factorize(k, y - offset, signal_variance, noise_variance)
+        if factor is None:
+            n = x.shape[0]
+            cond = float(np.linalg.cond(k + noise_variance * np.eye(n)))
+            raise np.linalg.LinAlgError(
+                f"covariance not positive definite even at jitter 1e-6 "
+                f"(n={n}, cond~{cond:.3e})"
             )
-        cond = float(np.linalg.cond(k + noise_variance * np.eye(n)))
-        raise np.linalg.LinAlgError(
-            f"covariance not positive definite even at jitter 1e-6 "
-            f"(n={n}, cond~{cond:.3e})"
-        ) from last_error
+        chol, alpha, jitter = factor
+        return cls(
+            x=x,
+            y=y,
+            y_offset=offset,
+            signal_variance=float(signal_variance),
+            length_scales=np.asarray(length_scales, dtype=float),
+            noise_variance=float(noise_variance),
+            chol=chol,
+            alpha=alpha,
+            jitter=jitter,
+        )
 
     def log_marginal_likelihood(self) -> float:
-        resid = self.y - self.y_offset
-        n = self.y.size
-        return float(
-            -0.5 * resid @ self.alpha
-            - np.sum(np.log(np.diag(self.chol)))
-            - 0.5 * n * math.log(2.0 * math.pi)
-        )
+        return _log_marginal_likelihood(self.y - self.y_offset, self.chol,
+                                        self.alpha)
+
+
+def _factorize(k: np.ndarray, resid: np.ndarray, signal_variance: float,
+               noise_variance: float):
+    """(chol, alpha, jitter) of k + (noise + jitter) I, or None.
+
+    The one factorization path: ``GpModel.build`` and the fit's scorer both
+    call it.  The rungs of JITTER_LADDER are tried in order, and None means
+    that numpy's Cholesky failed on every one.  Each rung writes k's
+    diagonal as its original values plus noise and jitter, so jitter never
+    piles up and k is never copied; a None return restores the diagonal.
+    alpha solves against resid through LAPACK potrs, as ``cho_solve`` does
+    after its checks.
+    """
+    n = k.shape[0]
+    diag = k.diagonal().copy()
+    for jitter_rel in JITTER_LADDER:
+        jitter = jitter_rel * signal_variance
+        k.flat[::n + 1] = diag + (noise_variance + jitter)
+        try:
+            chol = np.linalg.cholesky(k)
+        except np.linalg.LinAlgError:
+            continue
+        alpha, _ = _POTRS(chol, resid, lower=True)
+        # A NaN or inf in x, y or the covariance reaches alpha: numpy's
+        # Cholesky returns NaN rather than raising.
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("GP training data or covariance not finite")
+        return chol, alpha, jitter
+    k.flat[::n + 1] = diag
+    return None
+
+
+def _log_marginal_likelihood(resid: np.ndarray, chol: np.ndarray,
+                             alpha: np.ndarray) -> float:
+    """GPML Alg. 2.1's log marginal likelihood from the factorization."""
+    return float(
+        -0.5 * resid @ alpha
+        - np.sum(np.log(np.diag(chol)))
+        - 0.5 * resid.size * math.log(2.0 * math.pi)
+    )
 
 
 class _TrainingCovariance:
@@ -256,10 +333,10 @@ def fit_gp(
 ) -> GpModel:
     """Fit hyperparameters by multi-start bounded pattern search on the LML.
 
-    Each candidate theta is scored through ``GpModel.build``, so the fit and
-    the returned model share one factorization path; a theta whose
-    covariance fails every jitter level scores +inf.  The covariances come
-    from one ``_TrainingCovariance`` per fit.  ``init_theta``
+    Each candidate theta is scored by ``_neg_lml`` through ``_factorize``,
+    the factorization ``GpModel.build`` uses, without building a model; a
+    theta whose covariance fails every jitter level scores +inf.  The
+    covariances come from one ``_TrainingCovariance`` per fit.  ``init_theta``
     (log-space [log lengths..., log signal, log noise]) warm starts the
     first search, useful when refitting during optimization.
     """
@@ -299,13 +376,7 @@ def fit_gp(
         starts.append(rng.uniform(lower, upper))
 
     covariance = _TrainingCovariance(x)
-
-    def neg_lml(theta):
-        try:
-            model = _build_at(x, y, theta, covariance)
-        except np.linalg.LinAlgError:
-            return math.inf
-        return -model.log_marginal_likelihood()
+    neg_lml = functools.partial(_neg_lml, covariance, y - float(np.mean(y)))
 
     best_theta, best_val = None, math.inf
     for theta0 in starts[:n_starts]:
@@ -315,6 +386,23 @@ def fit_gp(
     if best_theta is None or not np.isfinite(best_val):
         raise np.linalg.LinAlgError("no hyperparameter start produced a finite LML")
     return _build_at(x, y, best_theta, covariance)
+
+
+def _neg_lml(covariance, resid: np.ndarray, theta: np.ndarray) -> float:
+    """The fit's score: minus the LML at a log-space theta, +inf if no rung.
+
+    ``covariance(signal, lengths)`` returns a fresh training covariance,
+    which is factored in place.  Bitwise ``-GpModel.build(...)
+    .log_marginal_likelihood()`` at the same theta, without the model.
+    """
+    d = theta.size - 2
+    signal = math.exp(theta[d])
+    factor = _factorize(covariance(signal, np.exp(theta[:d])), resid, signal,
+                        math.exp(theta[d + 1]))
+    if factor is None:
+        return math.inf
+    chol, alpha, _ = factor
+    return -_log_marginal_likelihood(resid, chol, alpha)
 
 
 def _build_at(x, y, theta, covariance=None) -> GpModel:

@@ -21,10 +21,16 @@ from twpaopt.bayesopt import (
     LENGTH_SCALE_BOUNDS,
     GpModel,
     HistoryEntry,
+    JITTER_LADDER,
     MIN_EVALS_PER_COMBO,
     SearchSpace,
+    _EXP_FAST_MIN,
+    _EXP_ZERO_BELOW,
     _TrainingCovariance,
     _ei_argmax,
+    _exp_inplace,
+    _factorize,
+    _neg_lml,
     _latent_variance,
     expected_improvement,
     fit_gp,
@@ -54,6 +60,8 @@ def test_kernel_against_loop_oracle():
     np.testing.assert_allclose(got, ref, rtol=1e-13)
     np.testing.assert_allclose(np.diag(kernel(xa, xa, 2.5, lengths)), 2.5,
                                rtol=1e-14)
+    with pytest.raises(ValueError, match="at least one dimension"):
+        kernel(np.zeros((2, 0)), np.zeros((3, 0)), 2.5, [])
 
 
 def kernel_broadcast(xa, xb, signal_variance, lengths):
@@ -88,7 +96,71 @@ def test_kernel_bitwise_equals_broadcast_formula(d, shape, length):
     lengths = np.exp(rng.uniform(*np.log(LENGTH_SCALE_BOUNDS), size=d))
     lengths[0] = length
     got = kernel(xa, xb, 1.7, lengths)
-    assert np.array_equal(got, kernel_broadcast(xa, xb, 1.7, lengths))
+    assert np.array_equal(bits(got), bits(kernel_broadcast(xa, xb, 1.7,
+                                                           lengths)))
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+@pytest.mark.parametrize("n", [20, 150])
+def test_kernel_bitwise_with_every_length_at_the_lower_bound(d, n):
+    # The surrogate's regime from about n = 48 on: every length scale at the
+    # bound, so most entries are +0.0 and some subnormal.  n = 20 ends on a
+    # partial block of rows.
+    rng = np.random.default_rng(d * 1000 + n)
+    xa = rng.uniform(size=(n, d))
+    xb = rng.uniform(size=(4112, d))
+    lengths = np.full(d, LENGTH_SCALE_BOUNDS[0])
+    got = kernel(xa, xb, 1.7, lengths)
+    assert np.array_equal(bits(got), bits(kernel_broadcast(xa, xb, 1.7,
+                                                           lengths)))
+    assert np.any(got == 0.0)
+    assert np.any((got > 0.0) & (got < np.finfo(float).tiny))
+
+
+def bits(a):
+    """IEEE bit patterns: +0.0 and -0.0, or two NaNs, compare unequal."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def exp_cases():
+    rng = np.random.default_rng(11)
+    special = np.array([
+        -np.inf, np.inf, np.nan, -np.nan, 0.0, -0.0, 1.0, 709.0,
+        _EXP_FAST_MIN, np.nextafter(_EXP_FAST_MIN, -np.inf),
+        _EXP_ZERO_BELOW, np.nextafter(_EXP_ZERO_BELOW, np.inf),
+        np.nextafter(_EXP_ZERO_BELOW, -np.inf),
+        -745.1332191019412, -745.1332191019411, -708.3964185322641,
+    ])
+    grid = np.linspace(-800.0, -690.0, 1_100_001)
+    return {
+        "special": special,
+        "grid": grid,
+        "grid_permuted_with_special": rng.permutation(
+            np.concatenate((grid, special))),
+        "no_low_lanes": rng.uniform(_EXP_FAST_MIN, 5.0, size=(33, 65)),
+        "only_low_lanes": rng.uniform(-1e4, -700.5, size=(65, 33)),
+        "only_band_lanes": rng.uniform(_EXP_ZERO_BELOW, -700.5, size=1000),
+        "empty": np.empty((0, 4)),
+    }
+
+
+@pytest.mark.parametrize("case", list(exp_cases()))
+def test_exp_inplace_bitwise_equals_np_exp(case):
+    a = exp_cases()[case]
+    ref = np.exp(a)
+    got = a.copy()
+    _exp_inplace(got)
+    assert got.shape == ref.shape
+    assert np.array_equal(bits(got), bits(ref))
+
+
+def test_np_exp_is_plus_zero_below_the_zero_threshold():
+    # The assumption the masked lanes rest on: numpy's exp is exactly +0.0
+    # below _EXP_ZERO_BELOW, and a normal double at _EXP_FAST_MIN.
+    grid = np.linspace(-1e4, _EXP_ZERO_BELOW, 3_000_001)
+    grid = np.concatenate((grid, [np.nextafter(_EXP_ZERO_BELOW, -np.inf)]))
+    assert np.all(bits(np.exp(grid)) == 0)
+    assert np.exp(_EXP_FAST_MIN) >= np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("case", ["plain", "duplicates", "deficit"])
@@ -109,6 +181,59 @@ def test_build_bitwise_equals_eye_ladder(case):
     assert model.jitter == ref_jitter == jitter
     assert np.array_equal(model.chol, chol)
     assert np.array_equal(model.alpha, alpha)
+
+
+def neg_lml_and_build(x, y, theta, covariance=None):
+    """The fit's score at theta, and GpModel.build at the same theta."""
+    d = x.shape[1]
+    signal, lengths = math.exp(theta[d]), np.exp(theta[:d])
+    noise = math.exp(theta[d + 1])
+    if covariance is None:
+        covariance = _TrainingCovariance(x)
+    score = _neg_lml(covariance, y - float(np.mean(y)), theta)
+    return score, lambda: GpModel.build(x, y, signal, lengths, noise,
+                                        cov=covariance(signal, lengths))
+
+
+@pytest.mark.parametrize("case", ["rung0", "ladder"])
+def test_fit_score_bitwise_equals_build(case):
+    x, y = training_set(n=30, d=3)
+    theta = np.log([0.3, 0.5, 0.8, 1.3, 1e-4])
+    if case == "ladder":
+        # The duplicate rows of test_build_bitwise_equals_eye_ladder.
+        x, y = np.vstack((x, x[:5])), np.concatenate((y, y[:5]))
+        theta[-1] = math.log(1e-300)
+    score, build = neg_lml_and_build(x, y, theta)
+    model = build()
+    rung = 0 if case == "rung0" else 1
+    assert model.jitter == JITTER_LADDER[rung] * model.signal_variance
+    assert bits(score) == bits(-model.log_marginal_likelihood())
+
+
+def test_fit_score_is_inf_where_every_rung_fails():
+    # Eigenvalues 3 and -1: no jitter rung reaches the negative one.
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+    x, y = np.array([[0.2], [0.7]]), np.array([0.0, 1.0])
+    score, build = neg_lml_and_build(x, y, np.log([0.5, 1.0, 1e-6]),
+                                     lambda s, l: bad * s)
+    assert score == math.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        build()
+    # A failed factorization leaves the covariance as it found it.
+    cov = bad.copy()
+    assert _factorize(cov, y - 0.5, 1.0, 1e-6) is None
+    assert np.array_equal(bits(cov), bits(bad))
+
+
+def test_fit_score_rejects_a_non_finite_alpha():
+    x, y = np.array([[0.2], [0.7]]), np.array([0.0, 1.0])
+    nan_cov = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            neg_lml_and_build(x, y, np.log([0.5, 1.0, 1e-6]),
+                              lambda s, l: nan_cov * s)
+        with pytest.raises(ValueError, match="not finite"):
+            GpModel.build(x, y, 1.0, [0.5], 1e-6, cov=nan_cov.copy())
 
 
 def test_noise_free_model_interpolates():
