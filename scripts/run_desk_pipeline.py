@@ -14,7 +14,8 @@ import sys
 import time
 from pathlib import Path
 
-from twpaopt.config import load_config
+from twpaopt.cli import resolve_workers
+from twpaopt.config import ConfigError, load_config
 from twpaopt.pipeline import RunPaths, run_pipeline
 
 REPO = Path(__file__).resolve().parents[1]
@@ -45,9 +46,14 @@ def main(argv=None):
         config_path = out.parent / (out.name + ".config.json")
         config_path.write_text(json.dumps(doc, indent=2) + "\n")
     cfg = load_config(config_path)
+    try:
+        workers = resolve_workers(args.workers, cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     t0 = time.perf_counter()
-    manifest = run_pipeline(config_path, cfg, workers=args.workers,
+    manifest = run_pipeline(config_path, cfg, workers=workers,
                             force=args.force)
     elapsed = time.perf_counter() - t0
 

@@ -37,7 +37,6 @@ from .network import (
     abcd_to_s,
     build_cells,
     cascade,
-    cell_abcd,
     dispersion,
     simulate_linear,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "bias_device",
     "build_cells",
     "cascade",
-    "cell_abcd",
     "coupling_constant",
     "dispersion",
     "effective_inductance",

@@ -29,6 +29,8 @@ WORKERS_ENV = "TWPAOPT_WORKERS"
 
 def resolve_workers(flag: int | None, cfg: RunConfig) -> int:
     if flag is not None:
+        if flag < 1:
+            raise ConfigError(f"--workers must be a positive integer, got {flag}")
         return flag
     if cfg.workers is not None:
         return cfg.workers

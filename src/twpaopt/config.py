@@ -148,14 +148,13 @@ def _parse_dimension(sec: _Section, name: str, default: GridDimension) -> GridDi
     if not sec.has(name):
         return default
     dim = sec.section(name)
-    out = GridDimension(
-        name=name,
-        minimum=dim.number("min"),
-        maximum=dim.number("max"),
-        step=dim.number("step"),
-    )
+    bounds = dim.number("min"), dim.number("max"), dim.number("step")
     dim.finish()
-    return out
+    try:
+        return GridDimension(name, *bounds)
+    except ValueError as exc:
+        # GridDimension's messages start with its name.
+        raise ConfigError(f"{sec.path}.{exc}") from None
 
 
 def _parse_grid(sec: _Section) -> ParameterGrid:

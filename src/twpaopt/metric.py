@@ -145,11 +145,6 @@ def _interp_rows(x: float, freqs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return slope * (x - freqs[j]) + values[:, j]
 
 
-def band_mean_s11(resp: TwoPortResponse, band: tuple[float, float]) -> complex:
-    """Width-normalized trapezoidal mean of complex S11 over the band."""
-    return complex(band_average(resp.freqs, resp.s11, band))
-
-
 def _delta_k_rows(freqs, k: np.ndarray, pump_freq: float) -> np.ndarray:
     """|k(f_p) - 2 k(f_p/2)| for every row of (B, F) wavenumbers."""
     freqs = np.asarray(freqs, dtype=float)
@@ -160,12 +155,6 @@ def _delta_k_rows(freqs, k: np.ndarray, pump_freq: float) -> np.ndarray:
     k_p = _interp_rows(pump_freq, freqs, k)
     k_half = _interp_rows(pump_freq / 2.0, freqs, k)
     return np.abs(k_p - 2.0 * k_half)
-
-
-def delta_k(disp: DispersionCurve, pump_freq: float) -> float:
-    """Phase mismatch |k(f_p) - 2 k(f_p/2)|, both linearly interpolated."""
-    return float(_delta_k_rows(disp.freqs, np.asarray(disp.k)[None],
-                               pump_freq)[0])
 
 
 def evaluate_metric(

@@ -17,14 +17,16 @@ factors take a sine form in the passband (|x| <= 1) and a hyperbolic-sine
 form in the stopband (|x| > 1).  Deep in a stopband the chain-matrix entries
 grow like exp(kappa N) and would overflow, so that growth is carried
 separately as a logarithmic scale; S-parameters are ratios and come out
-finite either way.
+finite either way.  The ABCD to S conversion reads the four real entries
+and the scale directly: the complex 2x2 matrix is never formed.
 
-Everything from the cell immittances to the S-parameters works on a leading
-device axis: devices that share pitch and cell count are simulated as one
-batch, each element through the same operations as on its own.  A single
-device is a batch of one.  ``sparam_faults`` validates a batch of (B, F)
-S-parameters at once and names each failing row's fault;
-``TwoPortResponse.validate`` is a batch of one.
+Everything from the device parameters to the S-parameters works on a
+leading device axis: devices that share pitch and cell count are simulated
+as one batch, each element through the same operations as on its own.  The
+cells are built as (B,) arrays, with one cached loop expansion looked up
+per device.  A single device is a batch of one.  ``sparam_faults``
+validates a batch of (B, F) S-parameters at once and names each failing
+row's fault; ``TwoPortResponse.validate`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
-from .snail import JunctionSpec, SnailSpec, effective_inductance, expand_potential
+from .snail import (effective_inductance, josephson_energy, normalized_expansion,
+                    scale_expansion)
 
 
 class ConfigurationError(ValueError):
@@ -116,7 +119,7 @@ class CellImmittance:
     """Series inductance (H) and shunt capacitance (F) of one cell.
 
     Scalars for one device, or equal-shape arrays with one entry per device
-    of a batch (see ``stack_cells``).
+    of a batch (see ``build_cells``).
     """
 
     series_inductance: float | np.ndarray
@@ -250,67 +253,53 @@ class DispersionCurve:
         return np.interp(f, self.freqs, self.k)
 
 
-@dataclass(frozen=True)
-class CascadedAbcd:
-    """Total chain matrix per frequency, stored as matrices * exp(log_scale).
+def gate_capacitance(thickness_nm, cfg: CellConfig):
+    """Parallel-plate gate capacitance in F for a dielectric thickness in nm.
 
-    ``matrices`` has shape (..., F, 2, 2) and ``log_scale`` (..., F), with
-    the cells' device axis in front.  log_scale is zero wherever the
-    entries cannot overflow, in which case ``matrices`` is the plain ABCD
-    product.
+    The thickness may be an array with one entry per device.
     """
-
-    matrices: np.ndarray
-    log_scale: np.ndarray
-
-
-def gate_capacitance(thickness_nm: float, cfg: CellConfig) -> float:
-    """Parallel-plate gate capacitance in F for a dielectric thickness in nm."""
-    if not thickness_nm > 0:
+    if not np.all(np.greater(thickness_nm, 0.0)):
         raise ConfigurationError("dielectric thickness must be positive")
     area_m2 = cfg.pad_area * 1e-12
     return VACUUM_PERMITTIVITY * cfg.rel_permittivity * area_m2 / (thickness_nm * 1e-9)
 
 
-def build_cells(
-    p: DeviceParams, flux_ext: float, cfg: CellConfig
-) -> tuple[CellImmittance, CellImmittance]:
-    """(unloaded, loaded) cell immittances at the given flux bias (Phi0).
+def build_cells(devices, fluxes, cfg: CellConfig
+                ) -> tuple[CellImmittance, CellImmittance]:
+    """(unloaded, loaded) cell immittances of B devices at their flux biases
+    (Phi0), each holding (B,) arrays.
 
-    The loaded cell is recomputed with every junction area divided by the
-    inductance load ratio (alpha unchanged) and the shunt capacitance
-    multiplied by the capacitance load ratio.
+    The loaded cell has every junction area divided by the inductance load
+    ratio (alpha unchanged) and the shunt capacitance multiplied by the
+    capacitance load ratio.  Each device's loop expansion is looked up once,
+    normalized to the small-junction energy, and scaled to both cells'
+    junctions.  Every quantity is one array expression, so a device's cells
+    do not depend on the batch.  A batch of one raises what the device's
+    own cell build raises; a larger batch raises one failing device's
+    error, and ``sweep._evaluate_batch`` then redoes its devices alone.
     """
-    c_gate = gate_capacitance(p.dielectric_thickness, cfg)
+    def column(name):
+        return np.array([getattr(p, name) for p in devices], dtype=float)
 
-    def snail_inductance(area: float) -> float:
-        spec = SnailSpec(
-            small_junction=JunctionSpec(area, p.current_density),
-            alpha=p.alpha,
-            flux_ext=flux_ext,
-        )
-        return effective_inductance(expand_potential(spec))
+    c_gate = gate_capacitance(column("dielectric_thickness"), cfg)
+    normalized = np.array([normalized_expansion(p.alpha, f)
+                           for p, f in zip(devices, fluxes)]).T
+    density = column("current_density")
 
-    l_unloaded = snail_inductance(p.junction_area)
-    l_loaded = snail_inductance(p.junction_area / p.inductance_load_ratio)
-    c_loaded = p.capacitance_load_ratio * c_gate
+    def snail_inductance(area):
+        energy = josephson_energy(area, density)
+        return effective_inductance(scale_expansion(normalized, energy))
+
+    area = column("junction_area")
+    l_unloaded = snail_inductance(area)
+    l_loaded = snail_inductance(area / column("inductance_load_ratio"))
+    c_loaded = column("capacitance_load_ratio") * c_gate
 
     unloaded = CellImmittance(l_unloaded, c_gate)
     loaded = CellImmittance(l_loaded, c_loaded)
-    for cell in (unloaded, loaded):
-        if not cell.series_inductance > 0 or not cell.shunt_capacitance > 0:
-            raise ConfigurationError("cell immittances must be positive")
+    if not all(np.all(v > 0) for v in (l_unloaded, c_gate, l_loaded, c_loaded)):
+        raise ConfigurationError("cell immittances must be positive")
     return unloaded, loaded
-
-
-def stack_cells(pairs) -> tuple[CellImmittance, CellImmittance]:
-    """Per-device (unloaded, loaded) pairs as one (unloaded, loaded) pair
-    of (B,) immittance arrays."""
-    return tuple(
-        CellImmittance(np.array([c.series_inductance for c in cells]),
-                       np.array([c.shunt_capacitance for c in cells]))
-        for cells in zip(*pairs)
-    )
 
 
 def _cell_entries(cell: CellImmittance, freq):
@@ -332,36 +321,22 @@ def _chain_product(m, n):
             c1 * a2 + d1 * c2, d1 * d2 - c1 * b2)
 
 
-def cell_abcd(cell: CellImmittance, freq) -> np.ndarray:
-    """ABCD matrix of one L-section cell, series jwL then shunt jwC.
-
-    Returns shape cell shape + freq shape + (2, 2): (2, 2) for one device
-    at one frequency, (B, F, 2, 2) for a batch of B devices on F
-    frequencies.
-    """
-    a, b, c, d = _cell_entries(cell, freq)
-    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
-    out[..., 0, 0] = a
-    out[..., 0, 1] = 1j * b
-    out[..., 1, 0] = 1j * c
-    out[..., 1, 1] = d
-    return out
-
-
 #: Stopband growth n t above which cascade() moves exp((n-1) t) into
 #: log_scale; below it every entry stays under ~e^300, far from overflow.
 _LOG_SCALE_ONSET = 300.0
 
 
-def cascade(p: DeviceParams, grid: FrequencyGrid, cells) -> CascadedAbcd:
+def cascade(p: DeviceParams, grid: FrequencyGrid, cells):
     """Total ABCD of the periodic chain, (U^(P-1) L)^(N/P) per frequency.
 
     ``cells`` is the (unloaded, loaded) pair.  With (B,) immittance arrays
-    (``stack_cells``) it describes B devices that share p's pitch and cell
-    count, and the result has shape (B, F, 2, 2) with a (B, F) log_scale;
-    scalar immittances give (F, 2, 2) and (F,).  Every element goes through
-    the same operations whatever the batch size, so a device's chain matrix
-    does not depend on the batch it was computed in.
+    (``build_cells``) it describes B devices that share p's pitch and cell
+    count; scalar immittances describe one device.  Returns the real
+    entries (a, b, c, d) and log_scale, each (B, F) or (F,), of the chain
+    matrix [[a, jb], [jc, d]] * exp(log_scale).  log_scale is zero wherever
+    the entries cannot overflow.  Every element goes through the same
+    operations whatever the batch size, so a device's chain matrix does not
+    depend on the batch it was computed in.
 
     Every matrix here has the lossless form [[a, jb], [jc, d]] with real
     a, b, c, d, so the products are written out on those four real arrays.
@@ -407,68 +382,57 @@ def cascade(p: DeviceParams, grid: FrequencyGrid, cells) -> CascadedAbcd:
 
     scale = sign ** (n - 1) * chebyshev_u(n)
     shift = sign**n * chebyshev_u(n - 1)
-    out = np.zeros(x.shape + (2, 2), dtype=complex)
-    out.real[..., 0, 0] = scale * a - shift
-    out.imag[..., 0, 1] = scale * b
-    out.imag[..., 1, 0] = scale * c
-    out.real[..., 1, 1] = scale * d - shift
-    return CascadedAbcd(matrices=out, log_scale=log_scale)
+    return (scale * a - shift, scale * b, scale * c, scale * d - shift), log_scale
 
 
-def abcd_to_s(abcd: np.ndarray, z0: float, log_scale=None, det=None):
-    """Standard ABCD to S conversion at a real reference impedance.
+def abcd_to_s(entries, log_scale, z0: float):
+    """S-parameters of the chain matrix [[a, jb], [jc, d]] * exp(log_scale)
+    at a real reference impedance.
 
-    Denominator is A + B/Z0 + C Z0 + D.  ``log_scale`` accounts for
-    scaled matrices (true ABCD = abcd * exp(log_scale)).  ``det``
-    optionally supplies the true chain determinant; passing 1.0 for a
-    cascade of analytically unimodular cells keeps S12 equal to S21 at
-    rounding level even where the float determinant of a huge-entry matrix
-    would be meaningless.  Works on any leading shape, e.g. (B, F, 2, 2)
-    for a batch of devices.  Returns (s11, s21, s12, s22).
+    ``entries`` are the real (a, b, c, d) and ``log_scale`` their scale,
+    as ``cascade`` returns them, all of one shape, e.g. (B, F) for a batch
+    of devices.  The denominator is a + d + j (b / Z0 + c Z0).  The chain
+    of unimodular cells has determinant 1, so S12 equals S21 even where the
+    float determinant of huge entries would be meaningless.  Returns
+    (s11, s21, s12, s22).
     """
     if not z0 > 0:
         raise ValueError("reference impedance must be positive")
-    abcd = np.asarray(abcd, dtype=complex)
-    a = abcd[..., 0, 0]
-    b = abcd[..., 0, 1]
-    c = abcd[..., 1, 0]
-    d = abcd[..., 1, 1]
-    delta = a + b / z0 + c * z0 + d
+    a, b, c, d = entries
+    # b * (1 / z0) rounds as numpy's complex division by z0 does.
+    b_z, c_z = b * (1.0 / z0), c * z0
+    delta = np.empty(np.shape(a), dtype=complex)
+    delta.real = a + d
+    delta.imag = b_z + c_z
     if np.any(delta == 0):
         axes = {1: "frequency ", 2: "(device, frequency) "}.get(delta.ndim, "")
         raise ValueError(f"singular conversion denominator at {axes}indices "
                          f"{np.argwhere(delta == 0).tolist()}")
 
-    s11 = (a + b / z0 - c * z0 - d) / delta
-    s22 = (-a + b / z0 - c * z0 + d) / delta
-    s21 = 2.0 / delta
-    if log_scale is not None:
-        s21 = s21 * np.exp(-np.asarray(log_scale))
-    if det is None:
-        det = a * d - b * c
-        if log_scale is not None:
-            det = det * np.exp(2.0 * np.asarray(log_scale))
-    s12 = det * s21
-    return s11, s21, s12, s22
+    numerator = np.empty_like(delta)
+    numerator.real = a - d
+    numerator.imag = b_z - c_z
+    s11 = numerator / delta
+    numerator.real = d - a
+    s22 = numerator / delta
+    s21 = 2.0 / delta * np.exp(-log_scale)
+    return s11, s21, s21.copy(), s22
 
 
 def linear_sparams(devices, fluxes, grid: FrequencyGrid, cfg: CellConfig):
     """(s11, s21, s12, s22), each (B, F), of B devices at their flux biases.
 
-    The devices must share pitch and cell count; they go through one
-    cascade and one ABCD to S conversion.  Nothing is validated here, see
-    ``sparam_faults``.
+    The devices must share pitch and cell count; they go through one cell
+    build, one cascade and one ABCD to S conversion.  Nothing is validated
+    here, see ``sparam_faults``.
     """
     shape = {(p.pitch, p.cell_count) for p in devices}
     if len(shape) != 1:
         raise ValueError(f"a batch needs one (pitch, cell count), got {shape}")
-    cells = stack_cells(
-        [build_cells(p, f, cfg) for p, f in zip(devices, fluxes)])
-    total = cascade(devices[0], grid, cells)
+    cells = build_cells(devices, fluxes, cfg)
+    entries, log_scale = cascade(devices[0], grid, cells)
     try:
-        return abcd_to_s(
-            total.matrices, cfg.ref_impedance, log_scale=total.log_scale, det=1.0
-        )
+        return abcd_to_s(entries, log_scale, cfg.ref_impedance)
     except ValueError as exc:
         raise SimulationError(str(exc)) from exc
 

@@ -79,16 +79,13 @@ class SnailSpec:
     flux_ext: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 <= self.flux_ext < 1.0:
-            raise ValueError(f"flux_ext must be in [0, 1) Phi0, got {self.flux_ext}")
+        _check_bias(self.alpha, self.flux_ext)
 
     @property
     def small_energy(self) -> float:
         """Josephson energy of the small junction, in J."""
-        i_c = critical_current(self.small_junction) * 1e-6  # A
-        return REDUCED_FLUX_QUANTUM * i_c
+        junction = self.small_junction
+        return josephson_energy(junction.area, junction.current_density)
 
     @property
     def large_energy(self) -> float:
@@ -110,9 +107,23 @@ class PotentialExpansion:
     c4: float
 
 
+def _check_bias(alpha: float, flux_ext: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 <= flux_ext < 1.0:
+        raise ValueError(f"flux_ext must be in [0, 1) Phi0, got {flux_ext}")
+
+
 def critical_current(junction: JunctionSpec) -> float:
     """Critical current in uA, area times current density."""
     return junction.area * junction.current_density
+
+
+def josephson_energy(area, current_density):
+    """Josephson energy (Phi0 / 2 pi) I_c in J of a junction of the given
+    area (um^2) and critical current density (uA/um^2); arrays broadcast."""
+    i_c = area * current_density * 1e-6  # A
+    return REDUCED_FLUX_QUANTUM * i_c
 
 
 def josephson_inductance(i_c_ua: float) -> float:
@@ -233,18 +244,42 @@ def _expansion_normalized(alpha: float, flux_ext: float):
     return phi_min, float(c2), float(c3), float(c4)
 
 
-def expand_potential(spec: SnailSpec) -> PotentialExpansion:
-    """Analytic Taylor coefficients c2..c4 of U about its minimum, in J."""
-    phi_min, c2, c3, c4 = _expansion_normalized(spec.alpha, spec.flux_ext)
-    e_s = spec.small_energy
+def normalized_expansion(alpha: float, flux_ext: float):
+    """(phi_min, c2, c3, c4) about the minimum, coefficients in units of E_Js.
+
+    alpha and flux_ext are checked as SnailSpec checks them.  The result
+    does not depend on the junction scale and is cached per (alpha, flux).
+    """
+    _check_bias(alpha, flux_ext)
+    return _expansion_normalized(alpha, flux_ext)
+
+
+def scale_expansion(normalized, small_energy) -> PotentialExpansion:
+    """The expansion in J of normalized (phi_min, c2, c3, c4) coefficients
+    for a small-junction energy in J.  Each entry may be an array with one
+    element per loop."""
+    phi_min, c2, c3, c4 = normalized
+    e_s = small_energy
     return PotentialExpansion(phi_min=phi_min, c2=e_s * c2, c3=e_s * c3, c4=e_s * c4)
 
 
-def effective_inductance(expansion: PotentialExpansion) -> float:
-    """Linear inductance (Phi0 / 2 pi)^2 / (2 c2) of the expanded loop, in H."""
-    if not expansion.c2 > 0:
+def expand_potential(spec: SnailSpec) -> PotentialExpansion:
+    """Analytic Taylor coefficients c2..c4 of U about its minimum, in J."""
+    return scale_expansion(_expansion_normalized(spec.alpha, spec.flux_ext),
+                           spec.small_energy)
+
+
+def effective_inductance(expansion: PotentialExpansion):
+    """Linear inductance (Phi0 / 2 pi)^2 / (2 c2) of the expanded loop, in H.
+
+    c2 may be an array of loops; the first one that is not positive is
+    named in the error.
+    """
+    c2 = np.asarray(expansion.c2)
+    unstable = ~(c2 > 0)
+    if unstable.any():
         raise ValueError(
-            f"no stable minimum: quadratic coefficient c2={expansion.c2:.3e} J"
+            f"no stable minimum: quadratic coefficient c2={c2[unstable].flat[0]:.3e} J"
         )
     return REDUCED_FLUX_QUANTUM**2 / (2.0 * expansion.c2)
 

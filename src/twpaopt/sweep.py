@@ -72,7 +72,11 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class GridDimension:
-    """One swept dimension: uniform values min + step * i up to max."""
+    """One swept dimension: uniform values min + step * i up to max.
+
+    The step must divide max - min to within the 1e-9 slack that
+    ``FrequencyGrid.points`` allows, so the last value is max.
+    """
 
     name: str
     minimum: float
@@ -84,6 +88,10 @@ class GridDimension:
             raise ValueError(f"{self.name}: step must be positive")
         if self.maximum < self.minimum:
             raise ValueError(f"{self.name}: max below min")
+        steps = (self.maximum - self.minimum) / self.step
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(f"{self.name}: step {self.step} does not divide "
+                             f"max - min = {self.maximum - self.minimum}")
 
     @property
     def count(self) -> int:

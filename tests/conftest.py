@@ -25,7 +25,6 @@ from twpaopt.network import (
     dispersion,
     linear_sparams,
     simulate_linear,
-    stack_cells,
     wavenumbers,
 )
 from twpaopt.snail import JunctionSpec, SnailSpec, expand_potential, kerr_free_flux
@@ -104,8 +103,7 @@ def desk_batch():
             sparams = linear_sparams(devices, fluxes, grid, cfg.cell)
             cache[pitch] = SimpleNamespace(
                 cfg=cfg, devices=devices, fluxes=fluxes,
-                cells=stack_cells([build_cells(d, f, cfg.cell)
-                                   for d, f in zip(devices, fluxes)]),
+                cells=build_cells(devices, fluxes, cfg.cell),
                 grid=grid, freqs=freqs, sparams=sparams,
                 k=wavenumbers(freqs, sparams[1], cfg.cell_count))
         return cache[pitch]

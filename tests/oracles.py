@@ -6,8 +6,9 @@ scipy's Jacobi elliptic functions instead of the Bulirsch elliptic closed
 form, ordered chain products instead of the Chebyshev closed form, finite
 differences instead of analytic derivatives, dense scans plus warm-started
 Newton instead of bracketed root finding, plain dense linear algebra
-instead of cached Cholesky factors, and a dense EI argmax instead of the
-bounded one.
+instead of cached Cholesky factors, a dense EI argmax instead of the
+bounded one, one SnailSpec per cell instead of the batch's cell arrays, and
+the general complex ABCD to S conversion instead of the real-entry one.
 Slow and simple on purpose.
 
 ``undepleted_gain`` is the small-signal gain the exact depleted-pump gain
@@ -31,7 +32,18 @@ from scipy.special import ellipj
 
 from twpaopt.bayesopt import expected_improvement
 from twpaopt.metric import VERBATIM_CAP, BandCoverageError, MetricBreakdown
-from twpaopt.network import SimulationError, cell_abcd
+from twpaopt.network import (
+    CellImmittance,
+    ConfigurationError,
+    SimulationError,
+    gate_capacitance,
+)
+from twpaopt.snail import (
+    JunctionSpec,
+    SnailSpec,
+    effective_inductance,
+    expand_potential,
+)
 
 
 def nodal_ladder_sparams(series_l, shunt_c, freqs, z0):
@@ -81,6 +93,100 @@ def nodal_ladder_sparams(series_l, shunt_c, freqs, z0):
     return out
 
 
+def per_device_cells(p, flux_ext, cfg):
+    """(unloaded, loaded) scalar cell immittances of one device, built from
+    one SnailSpec per cell through the scalar expansion."""
+    c_gate = gate_capacitance(p.dielectric_thickness, cfg)
+
+    def snail_inductance(area: float) -> float:
+        spec = SnailSpec(
+            small_junction=JunctionSpec(area, p.current_density),
+            alpha=p.alpha,
+            flux_ext=flux_ext,
+        )
+        return effective_inductance(expand_potential(spec))
+
+    l_unloaded = snail_inductance(p.junction_area)
+    l_loaded = snail_inductance(p.junction_area / p.inductance_load_ratio)
+    c_loaded = p.capacitance_load_ratio * c_gate
+
+    unloaded = CellImmittance(l_unloaded, c_gate)
+    loaded = CellImmittance(l_loaded, c_loaded)
+    for cell in (unloaded, loaded):
+        if not cell.series_inductance > 0 or not cell.shunt_capacitance > 0:
+            raise ConfigurationError("cell immittances must be positive")
+    return unloaded, loaded
+
+
+def cell_abcd(cell, freq):
+    """ABCD matrix of one L-section cell, series jwL then shunt jwC.
+
+    Returns shape cell shape + freq shape + (2, 2): (2, 2) for one device
+    at one frequency, (B, F, 2, 2) for a batch of B devices on F
+    frequencies.
+    """
+    w = 2.0 * np.pi * np.asarray(freq, dtype=float)
+    wl = np.multiply.outer(cell.series_inductance, w)
+    wc = np.multiply.outer(cell.shunt_capacitance, w)
+    out = np.empty(np.shape(wl) + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1.0 - wl * wc
+    out[..., 0, 1] = 1j * wl
+    out[..., 1, 0] = 1j * wc
+    out[..., 1, 1] = 1.0
+    return out
+
+
+def general_abcd_to_s(abcd, z0, log_scale=None, det=None):
+    """Textbook ABCD to S conversion of complex (..., 2, 2) matrices.
+
+    Denominator is A + B/Z0 + C Z0 + D.  ``log_scale`` accounts for
+    scaled matrices (true ABCD = abcd * exp(log_scale)).  ``det``
+    optionally supplies the true chain determinant; passing 1.0 for a
+    cascade of analytically unimodular cells keeps S12 equal to S21 at
+    rounding level even where the float determinant of a huge-entry matrix
+    would be meaningless.  Returns (s11, s21, s12, s22).
+    """
+    if not z0 > 0:
+        raise ValueError("reference impedance must be positive")
+    abcd = np.asarray(abcd, dtype=complex)
+    a = abcd[..., 0, 0]
+    b = abcd[..., 0, 1]
+    c = abcd[..., 1, 0]
+    d = abcd[..., 1, 1]
+    delta = a + b / z0 + c * z0 + d
+    if np.any(delta == 0):
+        raise ValueError("singular conversion denominator")
+
+    s11 = (a + b / z0 - c * z0 - d) / delta
+    s22 = (-a + b / z0 - c * z0 + d) / delta
+    s21 = 2.0 / delta
+    if log_scale is not None:
+        s21 = s21 * np.exp(-np.asarray(log_scale))
+    if det is None:
+        det = a * d - b * c
+        if log_scale is not None:
+            det = det * np.exp(2.0 * np.asarray(log_scale))
+    s12 = det * s21
+    return s11, s21, s12, s22
+
+
+def pack_abcd(entries):
+    """Complex (..., 2, 2) matrices [[a, jb], [jc, d]] of real entries."""
+    a, b, c, d = entries
+    out = np.zeros(np.shape(a) + (2, 2), dtype=complex)
+    out.real[..., 0, 0] = a
+    out.imag[..., 0, 1] = b
+    out.imag[..., 1, 0] = c
+    out.real[..., 1, 1] = d
+    return out
+
+
+def real_entries(abcd):
+    """Real (a, b, c, d) of lossless matrices [[a, jb], [jc, d]]."""
+    return (abcd[..., 0, 0].real, abcd[..., 0, 1].imag,
+            abcd[..., 1, 0].imag, abcd[..., 1, 1].real)
+
+
 def chain_abcd(cells, freqs):
     """Plain ordered product of cell matrices (input cell leftmost).
 
@@ -93,9 +199,10 @@ def chain_abcd(cells, freqs):
     return total
 
 
-def plain_abcd(total):
-    """Unscaled matrices of a ``CascadedAbcd`` (may overflow deep in a stopband)."""
-    return total.matrices * np.exp(total.log_scale)[:, None, None]
+def plain_abcd(entries, log_scale):
+    """Unscaled matrices of a cascade's scaled real entries (may overflow
+    deep in a stopband)."""
+    return pack_abcd(entries) * np.exp(log_scale)[..., None, None]
 
 
 def periodic_cell_sequence(unloaded, loaded, pitch, n_cells):

@@ -21,6 +21,7 @@ from oracles import (
     cme_rk4,
     kerr_free_flux_scan,
     nodal_ladder_sparams,
+    real_entries,
     undepleted_gain,
 )
 
@@ -89,9 +90,11 @@ def test_criterion_01_cascade_matches_nodal_solver(capsys):
 
         cells = [CellImmittance(l, c)
                  for l, c in zip(inductances, capacitances)]
-        # det=1.0: lossless LC chains are reciprocal by construction, and
-        # the numerical determinant cancels catastrophically in stopbands.
-        s11, s21, s12, s22 = abcd_to_s(chain_abcd(cells, freqs), z0, det=1.0)
+        # The conversion takes the determinant as 1: lossless LC chains are
+        # reciprocal by construction, and the numerical determinant cancels
+        # catastrophically in stopbands.
+        s11, s21, s12, s22 = abcd_to_s(real_entries(chain_abcd(cells, freqs)),
+                                       np.zeros(freqs.size), z0)
         ref = nodal_ladder_sparams(inductances, capacitances, freqs, z0)
         worst = max(
             worst,
@@ -128,9 +131,7 @@ def test_criterion_03_uniform_ladder_dispersion(capsys):
         capacitance_load_ratio=1.0, pitch=2, cell_count=n)
     cell = CellImmittance(l_cell, c_cell)
     grid = FrequencyGrid(0.0, 0.9 * f_cut, 6e3)
-    total = cascade(device, grid, (cell, cell))
-    s11, s21, s12, s22 = abcd_to_s(
-        total.matrices, 50.0, log_scale=total.log_scale, det=1.0)
+    s11, s21, s12, s22 = abcd_to_s(*cascade(device, grid, (cell, cell)), 50.0)
     resp = TwoPortResponse(freqs=grid.freqs(), s11=s11, s21=s21,
                            s12=s12, s22=s22)
     k = dispersion(resp, n).k

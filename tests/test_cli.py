@@ -403,6 +403,17 @@ def test_resolve_workers_precedence(monkeypatch):
             resolve_workers(None, cfg)
 
 
+@pytest.mark.parametrize("flag", [0, -3])
+def test_non_positive_workers_flag_exits_2(mini_config, capsys, flag):
+    config_path, run_dir = mini_config()
+    with pytest.raises(ConfigError, match="--workers"):
+        resolve_workers(flag, load_config(config_path))
+    assert main(["stage1", "--config", str(config_path),
+                 "--workers", str(flag)]) == 2
+    assert capsys.readouterr().err.startswith("config error: --workers")
+    assert not (run_dir / "stage1_records.csv").exists()
+
+
 def test_optimize_budget_too_small_exits_2(mini_config, capsys):
     config_path, _ = mini_config()
     assert main(["stage1", "--config", str(config_path)]) == 0

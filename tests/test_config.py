@@ -1,11 +1,15 @@
 """Config loading: closed schema, unit conversion, defaults."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from twpaopt.cli import main
 from twpaopt.config import ConfigError, load_config, parse_config
 from twpaopt.sweep import table_grid
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def minimal_doc(**overrides):
@@ -119,6 +123,27 @@ def test_semantic_validation():
         parse_config(minimal_doc(bayesopt={"budget": 0}))
     with pytest.raises(ConfigError, match="cell_count"):
         parse_config(minimal_doc(cell_count=-5))
+
+
+@pytest.mark.parametrize("dim, message", [
+    ({"min": 0.3, "max": 0.6, "step": 0}, "grid.A_J: step must be positive"),
+    ({"min": 0.2, "max": 0.3, "step": 0.06},
+     "grid.A_J: step 0.06 does not divide max - min"),
+])
+def test_grid_dimension_errors_are_config_errors(tmp_path, capsys, dim,
+                                                 message):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(minimal_doc(grid={"A_J": dim})))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert main(["stage1", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_shipped_grids_divide_their_ranges():
+    for name in ("desk.json", "full_table.json"):
+        load_config(CONFIGS / name)
+    assert table_grid().size == 38720
 
 
 def test_with_overrides_skips_none():

@@ -15,11 +15,10 @@ from twpaopt.metric import (
     MetricConfig,
     VERBATIM_CAP,
     band_average,
-    band_mean_s11,
     band_means,
-    delta_k,
     evaluate_metric,
     score_batch,
+    _delta_k_rows,
     _interp_rows,
 )
 from twpaopt.network import DispersionCurve, TwoPortResponse
@@ -132,16 +131,14 @@ def test_band_average_coverage_errors():
 
 
 def test_delta_k_linear_dispersion_is_zero():
-    disp = DispersionCurve(freqs=np.linspace(0.0, 20e9, 21),
-                           k=np.linspace(0.0, 2.0, 21))
-    assert delta_k(disp, 10e9) == 0.0
+    freqs, k = np.linspace(0.0, 20e9, 21), np.linspace(0.0, 2.0, 21)
+    assert _delta_k_rows(freqs, k[None], 10e9)[0] == 0.0
 
 
 def test_delta_k_coverage_error():
-    disp = DispersionCurve(freqs=np.linspace(0.0, 8e9, 9),
-                           k=np.linspace(0.0, 1.0, 9))
+    freqs, k = np.linspace(0.0, 8e9, 9), np.linspace(0.0, 1.0, 9)
     with pytest.raises(BandCoverageError):
-        delta_k(disp, PUMP)
+        _delta_k_rows(freqs, k[None], PUMP)
 
 
 def test_second_harmonic_must_be_on_grid():
@@ -184,9 +181,9 @@ def test_reference_device_verbatim_total(ref_response, ref_dispersion):
     assert out.total == pytest.approx(135.86317683475133, rel=1e-12)
 
 
-def test_band_mean_s11_matches_band_average(ref_response):
+def test_band_mean_s11_matches_band_average(ref_response, ref_breakdown):
     direct = band_average(ref_response.freqs, ref_response.s11, BAND)
-    assert band_mean_s11(ref_response, BAND) == complex(direct)
+    assert ref_breakdown.band_mean_s11 == complex(direct)
 
 
 def score_rows(batch, rows, cfg):

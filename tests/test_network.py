@@ -1,5 +1,7 @@
 """Chain-matrix cascade, S-parameter conversion, dispersion extraction."""
 
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +12,17 @@ from hypothesis import strategies as st
 from oracles import (
     PerDeviceResponse,
     bloch_wavenumber,
+    cell_abcd,
     chain_abcd,
+    general_abcd_to_s,
     nodal_ladder_sparams,
+    pack_abcd,
+    per_device_cells,
     periodic_cell_sequence,
     plain_abcd,
+    real_entries,
 )
 from twpaopt.network import (
-    CascadedAbcd,
     CellConfig,
     CellImmittance,
     ConfigurationError,
@@ -27,22 +33,41 @@ from twpaopt.network import (
     abcd_to_s,
     build_cells,
     cascade,
-    cell_abcd,
     dispersion,
     gate_capacitance,
     linear_sparams,
     simulate_linear,
     sparam_faults,
-    stack_cells,
 )
+from twpaopt import snail as snail_mod
 from twpaopt import sweep as sweep_mod
 from twpaopt.config import load_config
 from twpaopt.constants import VACUUM_PERMITTIVITY
 from twpaopt.snail import kerr_free_flux
-from twpaopt.sweep import (SweepConfig, device_from_values,
+from twpaopt.sweep import (SweepConfig, device_from_values, enumerate_grid,
                            metric_frequency_grid)
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+
+
+def assert_same_bits(ours, theirs):
+    for x, y in zip(ours, theirs, strict=True):
+        np.testing.assert_array_equal(np.asarray(x).view(np.int64),
+                                      np.asarray(y).view(np.int64))
+
+
+def general_sparams(entries, log_scale, z0):
+    """The textbook conversion of the packed complex chain matrices."""
+    return general_abcd_to_s(pack_abcd(entries), z0, log_scale=log_scale,
+                             det=1.0)
+
+
+def stacked(pairs):
+    """(unloaded, loaded) pairs of scalar cells as one pair of (B,) arrays."""
+    return tuple(
+        CellImmittance(np.array([c.series_inductance for c in cells]),
+                       np.array([c.shunt_capacitance for c in cells]))
+        for cells in zip(*pairs))
 
 
 def dummy_device(pitch, cell_count):
@@ -92,7 +117,8 @@ def test_series_only_cell_against_closed_form():
     z0 = 50.0
     cell = CellImmittance(3e-9, 0.0)
     freqs = np.array([1e9, 7e9, 20e9])
-    s11, s21, s12, s22 = abcd_to_s(cell_abcd(cell, freqs), z0)
+    s11, s21, s12, s22 = abcd_to_s(real_entries(cell_abcd(cell, freqs)),
+                                   np.zeros(3), z0)
     z = 1j * 2.0 * np.pi * freqs * 3e-9
     np.testing.assert_allclose(s11, z / (z + 2 * z0), rtol=1e-14)
     np.testing.assert_allclose(s21, 2 * z0 / (z + 2 * z0), rtol=1e-14)
@@ -112,7 +138,8 @@ def test_chain_matches_nodal_solution():
         cells = [CellImmittance(l, c) for l, c in zip(ls, cs)]
         # Lossless LC ladders are reciprocal by construction; forming the
         # determinant numerically would cancel catastrophically in stopbands.
-        s11, s21, s12, s22 = abcd_to_s(chain_abcd(cells, freqs), z0, det=1.0)
+        s11, s21, s12, s22 = abcd_to_s(real_entries(chain_abcd(cells, freqs)),
+                                       np.zeros(freqs.size), z0)
         ref = nodal_ladder_sparams(ls, cs, freqs, z0)
         np.testing.assert_allclose(s11, ref[:, 0, 0], atol=1e-10)
         np.testing.assert_allclose(s21, ref[:, 1, 0], atol=1e-10)
@@ -128,14 +155,15 @@ def test_cascade_matches_explicit_chain(pitch, cell_count):
     loaded = CellImmittance(0.9e-9, 0.3e-12)
     device = dummy_device(pitch=pitch, cell_count=cell_count)
     grid = FrequencyGrid(0.0, 20e9, 1e9)
-    total = cascade(device, grid, (unloaded, loaded))
-    np.testing.assert_array_equal(total.log_scale, 0.0)
+    entries, log_scale = cascade(device, grid, (unloaded, loaded))
+    np.testing.assert_array_equal(log_scale, 0.0)
 
     ls, cs = periodic_cell_sequence(
         (0.6e-9, 0.3e-12), (0.9e-9, 0.3e-12), pitch, cell_count)
     cells = [CellImmittance(l, c) for l, c in zip(ls, cs)]
     reference = chain_abcd(cells, grid.freqs())
-    np.testing.assert_allclose(plain_abcd(total), reference, rtol=1e-11, atol=1e-11)
+    np.testing.assert_allclose(plain_abcd(entries, log_scale), reference,
+                               rtol=1e-11, atol=1e-11)
 
 
 @pytest.mark.parametrize("index", [58, 1357])
@@ -148,21 +176,19 @@ def test_cascade_matches_nodal_solver_at_band_edges(index):
     cfg = load_config(DESK_CONFIG)
     device = device_from_values(cfg.grid.point_values(index), cfg.cell_count)
     flux = kerr_free_flux(device.alpha)
-    unloaded, loaded = build_cells(device, flux, cfg.cell)
+    unloaded, loaded = build_cells([device], [flux], cfg.cell)
     grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
-    total = cascade(device, grid, (unloaded, loaded))
     s11, s21, s12, s22 = abcd_to_s(
-        total.matrices, cfg.cell.ref_impedance, log_scale=total.log_scale,
-        det=1.0)
+        *cascade(device, grid, (unloaded, loaded)), cfg.cell.ref_impedance)
 
     ls, cs = periodic_cell_sequence(
-        (unloaded.series_inductance, unloaded.shunt_capacitance),
-        (loaded.series_inductance, loaded.shunt_capacitance),
+        (unloaded.series_inductance[0], unloaded.shunt_capacitance[0]),
+        (loaded.series_inductance[0], loaded.shunt_capacitance[0]),
         device.pitch, device.cell_count)
     ref = nodal_ladder_sparams(ls, cs, grid.freqs()[1:], cfg.cell.ref_impedance)
     for ours, theirs in ((s11, ref[:, 0, 0]), (s21, ref[:, 1, 0]),
                          (s12, ref[:, 0, 1]), (s22, ref[:, 1, 1])):
-        np.testing.assert_allclose(ours[1:], theirs, rtol=0, atol=5e-10)
+        np.testing.assert_allclose(ours[0, 1:], theirs, rtol=0, atol=5e-10)
 
 
 def test_cascade_requires_divisible_cell_count():
@@ -181,12 +207,11 @@ def test_stopband_cascade_stays_finite_and_lossless():
     fc = 2.0 / (2.0 * np.pi * np.sqrt(2.5e-9 * 1.0e-12))
     device = dummy_device(pitch=2, cell_count=1 << 15)
     grid = FrequencyGrid(2.0 * fc, 3.0 * fc, 0.5 * fc)
-    total = cascade(device, grid, (cell, cell))
-    assert np.all(np.isfinite(total.matrices))
-    assert np.all(total.log_scale > 100.0)
+    entries, log_scale = cascade(device, grid, (cell, cell))
+    assert np.all(np.isfinite(entries))
+    assert np.all(log_scale > 100.0)
 
-    s11, s21, s12, s22 = abcd_to_s(
-        total.matrices, 50.0, log_scale=total.log_scale, det=1.0)
+    s11, s21, s12, s22 = abcd_to_s(entries, log_scale, 50.0)
     assert np.all(np.isfinite(np.abs(s21)))
     assert np.max(np.abs(s21)) < 1e-100
     power = np.abs(s11) ** 2 + np.abs(s21) ** 2
@@ -202,51 +227,59 @@ def test_batched_cascade_matches_each_device_alone(pitch):
                           (1.1e-9, 0.5e-12))]
     device = dummy_device(pitch=pitch, cell_count=pitch << 12)
     grid = FrequencyGrid(0.0, 20e9, 0.25e9)
-    batch = cascade(device, grid, stack_cells(cells))
-    assert batch.matrices.shape == (3, grid.points, 2, 2)
-    assert batch.log_scale.shape == (3, grid.points)
-    assert np.any(batch.log_scale > 0.0)
-    s_batch = abcd_to_s(batch.matrices, 50.0, log_scale=batch.log_scale,
-                        det=1.0)
+    entries, log_scale = cascade(device, grid, stacked(cells))
+    assert all(e.shape == (3, grid.points) for e in entries)
+    assert log_scale.shape == (3, grid.points)
+    assert np.any(log_scale > 0.0)
+    s_batch = abcd_to_s(entries, log_scale, 50.0)
     for b, pair in enumerate(cells):
-        alone = cascade(device, grid, pair)
-        np.testing.assert_array_equal(batch.matrices[b], alone.matrices)
-        np.testing.assert_array_equal(batch.log_scale[b], alone.log_scale)
-        s_alone = abcd_to_s(alone.matrices, 50.0, log_scale=alone.log_scale,
-                            det=1.0)
+        alone, alone_scale = cascade(device, grid, pair)
+        for ours, theirs in zip(entries, alone):
+            np.testing.assert_array_equal(ours[b], theirs)
+        np.testing.assert_array_equal(log_scale[b], alone_scale)
+        s_alone = abcd_to_s(alone, alone_scale, 50.0)
         for ours, theirs in zip(s_batch, s_alone):
             np.testing.assert_array_equal(ours[b], theirs)
+    assert_same_bits(s_batch, general_sparams(entries, log_scale, 50.0))
+
+
+@pytest.mark.parametrize("pitch", [2, 3])
+def test_abcd_to_s_matches_the_general_conversion_on_desk_batches(
+        pitch, desk_batch):
+    batch = desk_batch(pitch)
+    entries, log_scale = cascade(batch.devices[0], batch.grid, batch.cells)
+    z0 = batch.cfg.cell.ref_impedance
+    assert_same_bits(abcd_to_s(entries, log_scale, z0),
+                     general_sparams(entries, log_scale, z0))
 
 
 @pytest.mark.parametrize("pitch", [2, 3])
 def test_desk_cascade_stays_in_the_lossless_class(pitch, desk_batch):
     # Lossless cells have chain matrices [[a, jb], [jc, d]] with real a, b,
-    # c, d, and so do their products and Chebyshev powers: the other halves
-    # of the entries are exactly zero.  No growth is scaled out in the
+    # c, d, and so do their products and Chebyshev powers: the cascade
+    # returns those four real arrays.  No growth is scaled out in the
     # passband, |x| <= 1 for the macrocell half-trace x.
     batch = desk_batch(pitch)
     grid, cells = batch.grid, batch.cells
-    total = cascade(batch.devices[0], grid, cells)
-    assert total.matrices.shape == (16, grid.points, 2, 2)
-    m = total.matrices
-    for part in (m[..., 0, 0].imag, m[..., 1, 1].imag,
-                 m[..., 0, 1].real, m[..., 1, 0].real):
-        np.testing.assert_array_equal(part, 0.0)
+    entries, log_scale = cascade(batch.devices[0], grid, cells)
+    for entry in entries:
+        assert entry.dtype == np.float64
+        assert entry.shape == (16, grid.points)
 
     unloaded, loaded = (cell_abcd(c, grid.freqs()) for c in cells)
     macro = np.linalg.matrix_power(unloaded, pitch - 1) @ loaded
     x = 0.5 * (macro[..., 0, 0] + macro[..., 1, 1]).real
     passband = np.abs(x) <= 1.0
     assert passband.any() and not passband.all()
-    np.testing.assert_array_equal(total.log_scale[passband], 0.0)
+    np.testing.assert_array_equal(log_scale[passband], 0.0)
 
 
 def test_abcd_to_s_names_the_singular_device_and_frequency():
-    abcd = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)).copy()
-    abcd[1, 2] = np.diag([1.0, -1.0])  # A + B/Z0 + C Z0 + D = 0
+    a, b, c, d = np.ones((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), np.ones((2, 3))
+    d[1, 2] = -1.0  # a + d + j (b / Z0 + c Z0) = 0
     where = r"\(device, frequency\) indices \[\[1, 2\]\]"
     with pytest.raises(ValueError, match=where):
-        abcd_to_s(abcd, 50.0)
+        abcd_to_s((a, b, c, d), np.zeros((2, 3)), 50.0)
 
 
 def test_linear_sparams_rejects_mixed_pitch():
@@ -258,14 +291,16 @@ def test_linear_sparams_rejects_mixed_pitch():
 
 
 def test_cascaded_abcd_plain_reconstruction():
-    mats = np.array([[[0.5, 0.25], [0.125, 0.5]]], dtype=complex)
-    scaled = CascadedAbcd(matrices=mats, log_scale=np.array([np.log(4.0)]))
-    np.testing.assert_allclose(plain_abcd(scaled), 4.0 * mats, rtol=1e-15)
+    entries = tuple(np.array([v]) for v in (0.5, 0.25, 0.125, 0.5))
+    mats = np.array([[[0.5, 0.25j], [0.125j, 0.5]]])
+    np.testing.assert_allclose(plain_abcd(entries, np.array([np.log(4.0)])),
+                               4.0 * mats, rtol=1e-15)
 
 
 def test_abcd_to_s_rejects_bad_impedance():
+    one, zero = np.ones(1), np.zeros(1)
     with pytest.raises(ValueError):
-        abcd_to_s(np.eye(2, dtype=complex), 0.0)
+        abcd_to_s((one, zero, zero, one), zero, 0.0)
 
 
 def test_gate_capacitance_value():
@@ -279,16 +314,76 @@ def test_gate_capacitance_value():
 
 
 def test_build_cells_loading(ref_device, ref_flux):
-    unloaded, loaded = build_cells(ref_device, ref_flux, CellConfig())
+    unloaded, loaded = build_cells([ref_device], [ref_flux], CellConfig())
     # Loading divides the junction areas, so the loaded inductance is larger.
-    assert loaded.series_inductance > unloaded.series_inductance
-    assert loaded.shunt_capacitance == pytest.approx(
-        ref_device.capacitance_load_ratio * unloaded.shunt_capacitance,
+    assert loaded.series_inductance[0] > unloaded.series_inductance[0]
+    assert loaded.shunt_capacitance[0] == pytest.approx(
+        ref_device.capacitance_load_ratio * unloaded.shunt_capacitance[0],
         rel=1e-15)
-    assert unloaded.series_inductance == pytest.approx(5.948436126223019e-10,
-                                                       rel=1e-12)
-    assert unloaded.shunt_capacitance == pytest.approx(2.892368020808e-13,
-                                                       rel=1e-12)
+    assert unloaded.series_inductance[0] == pytest.approx(5.948436126223019e-10,
+                                                          rel=1e-12)
+    assert unloaded.shunt_capacitance[0] == pytest.approx(2.892368020808e-13,
+                                                          rel=1e-12)
+
+
+def test_build_cells_matches_the_scalar_chain_on_the_desk_grid():
+    cfg = load_config(DESK_CONFIG)
+    devices = enumerate_grid(cfg.grid, cfg.cell_count)
+    assert len(devices) == 2048
+    fluxes = [kerr_free_flux(p.alpha) for p in devices]
+    ours = build_cells(devices, fluxes, cfg.cell)
+    theirs = [per_device_cells(p, f, cfg.cell)
+              for p, f in zip(devices, fluxes)]
+    for k, cell in enumerate(ours):
+        assert_same_bits(
+            (cell.series_inductance, cell.shunt_capacitance),
+            (np.array([pair[k].series_inductance for pair in theirs]),
+             np.array([pair[k].shunt_capacitance for pair in theirs])))
+
+
+def failing_device(case, good, flux, monkeypatch):
+    """(device, flux) whose cell build fails for the named reason."""
+    if case == "flux":
+        return good, 1.2
+    if case == "immittance":
+        # The gate capacitance of an infinitely thick dielectric is 0.
+        return replace(good, dielectric_thickness=math.inf), flux
+    real = snail_mod._expansion_normalized
+
+    def unstable(alpha, flux_ext):
+        phi_min, c2, c3, c4 = real(alpha, flux_ext)
+        return phi_min, -c2 if alpha == 0.24 else c2, c3, c4
+
+    monkeypatch.setattr(snail_mod, "_expansion_normalized", unstable)
+    return replace(good, alpha=0.24), flux
+
+
+@pytest.mark.parametrize("case", ["flux", "c2", "immittance"])
+def test_a_failing_device_fails_alone_with_its_own_error(
+        case, desk_batch, monkeypatch):
+    batch = desk_batch(3)
+    cfg = batch.cfg
+    bad, bad_flux = failing_device(case, batch.devices[1], batch.fluxes[1],
+                                   monkeypatch)
+    with pytest.raises(Exception) as alone:
+        per_device_cells(bad, bad_flux, cfg.cell)
+    with pytest.raises(Exception) as ours:
+        build_cells([bad], [bad_flux], cfg.cell)
+    assert type(ours.value) is type(alone.value)
+    assert str(ours.value) == str(alone.value)
+
+    # The chunk's batch fails, and each device is redone on its own.
+    points = [batch.devices[0], bad, batch.devices[2]]
+    fluxes = [batch.fluxes[0], bad_flux, batch.fluxes[2]]
+    sweep_cfg = SweepConfig(cell_count=cfg.cell_count,
+                            freq_grid=cfg.freq_grid, cell=cfg.cell)
+    rows = sweep_mod._run_chunk(([0, 1, 2], points, fluxes, sweep_cfg,
+                                 cfg.metric))
+    error = f"{type(alone.value).__name__}: {alone.value}"
+    assert [row[2] for row in rows] == ["", error, ""]
+    clean = sweep_mod._evaluate_batch(points[::2], fluxes[::2], sweep_cfg,
+                                      cfg.metric)
+    assert [repr(rows[0][1]), repr(rows[2][1])] == list(map(repr, clean))
 
 
 def test_frequency_grid_points():
@@ -435,9 +530,7 @@ def test_dispersion_matches_bloch_relation():
     device = dummy_device(pitch=2, cell_count=n)
     grid = FrequencyGrid(0.0, 0.8 * fc, fc / 8000.0)
     cell = CellImmittance(l, c)
-    total = cascade(device, grid, (cell, cell))
-    s11, s21, s12, s22 = abcd_to_s(
-        total.matrices, 50.0, log_scale=total.log_scale, det=1.0)
+    s11, s21, s12, s22 = abcd_to_s(*cascade(device, grid, (cell, cell)), 50.0)
     resp = TwoPortResponse(freqs=grid.freqs(), s11=s11, s21=s21,
                            s12=s12, s22=s22)
     disp = dispersion(resp, n)

@@ -54,3 +54,11 @@ def test_run_desk_pipeline_parses_its_arguments():
     assert Path(args.config).is_file()
     with pytest.raises(SystemExit):
         script.parse_args(["--workers", "two"])
+
+
+def test_run_desk_pipeline_rejects_non_positive_workers(tmp_path, capsys):
+    script = load_script("run_desk_pipeline")
+    code = script.main(["--output", str(tmp_path / "run"), "--workers", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: --workers")
+    assert not (tmp_path / "run").exists()

@@ -5,16 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import cell_abcd
 import twpaopt.network as network_mod
 import twpaopt.sweep as sweep_mod
 from twpaopt.config import load_config
 from twpaopt.metric import MetricBreakdown, MetricConfig
 from twpaopt.network import (
     CellConfig,
+    CellImmittance,
     ConfigurationError,
     FrequencyGrid,
     build_cells,
-    cell_abcd,
     simulate_linear,
 )
 from twpaopt.snail import kerr_free_flux
@@ -80,6 +81,8 @@ def test_grid_dimension_values():
         GridDimension("t", 1.0, 20.0, 0.0)
     with pytest.raises(ValueError):
         GridDimension("t", 20.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="does not divide"):
+        GridDimension("alpha", 0.2, 0.3, 0.06)
 
 
 def test_point_values_lexicographic_order():
@@ -206,7 +209,9 @@ def record_fields(rec):
 
 
 def pump_in_stopband(params, flux, sweep_cfg):
-    unloaded, loaded = build_cells(params, flux, sweep_cfg.cell)
+    unloaded, loaded = (
+        CellImmittance(cell.series_inductance[0], cell.shunt_capacitance[0])
+        for cell in build_cells([params], [flux], sweep_cfg.cell))
     macro = np.linalg.matrix_power(
         cell_abcd(unloaded, METRIC.pump_freq), params.pitch - 1)
     macro = macro @ cell_abcd(loaded, METRIC.pump_freq)
@@ -235,10 +240,11 @@ def test_batch_failure_fails_one_point_with_its_own_error(monkeypatch):
     grid, sweep_cfg = mixed_grid(), tiny_sweep_cfg()
     real = network_mod.build_cells
 
-    def poisoned(params, flux, cell_cfg):
-        if params.junction_area == 0.6 and params.dielectric_thickness == 3.0:
+    def poisoned(devices, fluxes, cell_cfg):
+        if any(p.junction_area == 0.6 and p.dielectric_thickness == 3.0
+               for p in devices):
             raise ConfigurationError("injected cell failure")
-        return real(params, flux, cell_cfg)
+        return real(devices, fluxes, cell_cfg)
 
     monkeypatch.setattr(network_mod, "build_cells", poisoned)
     records = run_sweep(grid, sweep_cfg, METRIC)
