@@ -14,9 +14,8 @@ import sys
 import time
 from pathlib import Path
 
-from twpaopt.cli import resolve_workers
-from twpaopt.config import ConfigError, load_config
-from twpaopt.pipeline import RunPaths, run_pipeline
+from twpaopt import cli
+from twpaopt.pipeline import RunPaths
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -38,29 +37,28 @@ def parse_args(argv=None):
 def main(argv=None):
     args = parse_args(argv)
     config_path = Path(args.config)
-    if args.output is not None:
+    try:
         doc = json.loads(config_path.read_text())
+    except (OSError, ValueError) as exc:
+        print(f"config error: cannot read {config_path}: {exc}",
+              file=sys.stderr)
+        return 2
+    if args.output is not None:
         doc["output_dir"] = args.output
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
         config_path = out.parent / (out.name + ".config.json")
         config_path.write_text(json.dumps(doc, indent=2) + "\n")
-    cfg = load_config(config_path)
-    try:
-        workers = resolve_workers(args.workers, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
     t0 = time.perf_counter()
-    manifest = run_pipeline(config_path, cfg, workers=workers,
-                            force=args.force)
+    code = cli.main(["pipeline", "--config", str(config_path),
+                     "--workers", str(args.workers)]
+                    + ["--force"] * args.force)
     elapsed = time.perf_counter() - t0
+    if code:
+        return code
 
-    for name in ("stage1", "optimize", "stage3", "report"):
-        print(f"{name}: {manifest['stages'][name]['status']}")
-
-    paths = RunPaths(cfg.output_dir)
+    paths = RunPaths(doc["output_dir"])
     pstar = json.loads(Path(paths.pstar_json).read_text())
     qstar = json.loads(Path(paths.qstar_json).read_text())
     print(f"p* metric {pstar['metric']['total']:.6g} "
@@ -70,7 +68,7 @@ def main(argv=None):
     print(f"q* pump amplitude {qstar['pump_amplitude_ua']:.4g} uA "
           f"(xi {qstar['xi']:.4f}), band-mean gain "
           f"{qstar['performance_db']:.2f} dB")
-    print(f"artifacts in {cfg.output_dir} ({elapsed:.1f} s)")
+    print(f"artifacts in {paths.run_dir} ({elapsed:.1f} s)")
     return 0
 
 

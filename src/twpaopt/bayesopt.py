@@ -619,20 +619,21 @@ def optimize_metric(
     history: list[HistoryEntry] = []
     combo_data = []  # (xs list, ys list) raw metric space
     for ci, rows in enumerate(warm_by_combo):
-        xs, ys = [], []
+        xs, ys, ys_min = [], [], math.inf
         for params, value in rows:
-            entry = HistoryEntry(
+            usable = bool(np.isfinite(value) and value > 0)
+            history.append(HistoryEntry(
                 combo_id=ci,
                 iteration=-1,
                 params=dict(params),
                 metric=float(value),
-                is_incumbent=not ys or value < min(ys),
-                flagged=not (np.isfinite(value) and value > 0),
-            )
-            history.append(entry)
-            if np.isfinite(value) and value > 0:
+                is_incumbent=not ys or value < ys_min,
+                flagged=not usable,
+            ))
+            if usable:
                 xs.append(space.normalize(params))
                 ys.append(float(value))
+                ys_min = min(ys_min, ys[-1])
         combo_data.append((xs, ys))
 
     new_total = budget - sum(len(rows) for rows in warm_by_combo)
@@ -656,19 +657,20 @@ def optimize_metric(
                 space, objective, combo, ci, combo_data[ci], alloc[ci], rng, history
             )
 
-    finite = [h for h in history if np.isfinite(h.metric)]
-    if not finite:
+    # The first minimum over finite rows, overall and per combination.
+    best, bests = None, {}
+    for h in history:
+        if math.isfinite(h.metric):
+            if best is None or h.metric < best.metric:
+                best = h
+            if h.combo_id not in bests or h.metric < bests[h.combo_id].metric:
+                bests[h.combo_id] = h
+    if best is None:
         raise RuntimeError("optimization produced no finite metric evaluation")
-    best = min(finite, key=lambda h: h.metric)
-
-    combo_bests = []
-    for ci, combo in enumerate(combos):
-        rows = [h for h in history if h.combo_id == ci and np.isfinite(h.metric)]
-        if rows:
-            b = min(rows, key=lambda h: h.metric)
-            combo_bests.append(
-                {"combo": combo, "params": b.params, "metric": b.metric}
-            )
+    combo_bests = [
+        {"combo": combo, "params": bests[ci].params, "metric": bests[ci].metric}
+        for ci, combo in enumerate(combos) if ci in bests
+    ]
     return OptResult(
         best_params=dict(best.params),
         best_metric=best.metric,
@@ -687,10 +689,11 @@ def _optimize_combo(space, objective, combo, ci, data, alloc, rng, history):
     # sentinels scale this, never an earlier sentinel, so they cannot
     # compound towards overflow.
     worst = max(ys, default=0.0)
+    best = min(ys, default=math.inf)
     prev_theta = None
 
     def evaluate(x_norm):
-        nonlocal used, worst
+        nonlocal used, worst, best
         params = space.denormalize(x_norm)
         params.update(combo)
         flagged = False
@@ -702,17 +705,17 @@ def _optimize_combo(space, objective, combo, ci, data, alloc, rng, history):
         except Exception:
             value = 10.0 * worst if worst > 0 else 1e31
             flagged = True
-        incumbent = not ys or value < min(ys)
         history.append(HistoryEntry(
             combo_id=ci,
             iteration=used,
             params=params,
             metric=value,
-            is_incumbent=incumbent,
+            is_incumbent=not ys or value < best,
             flagged=flagged,
         ))
         xs.append(np.asarray(x_norm, dtype=float))
         ys.append(value)
+        best = min(best, value)
         used += 1
 
     if len(ys) == 0:

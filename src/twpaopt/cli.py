@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from .config import ConfigError, RunConfig, load_config
 from .pipeline import (
@@ -70,12 +71,28 @@ def _warn_stage3(failed: int) -> None:
         print(f"warning: {failed} drive point(s) failed", file=sys.stderr)
 
 
-def _cmd_stage1(args) -> int:
-    cfg = load_config(args.config)
-    workers = resolve_workers(args.workers, cfg)
-    paths, manifest = prepare_run_dir(args.config, cfg)
+@contextmanager
+def _run_dir(args):
+    """Yield (cfg, paths, manifest) while holding the run directory's lock.
+
+    ``report`` opens an existing run directory.  The other commands load
+    --config and prepare its run directory, resolving a --workers flag into
+    ``args.workers`` first so that a bad value leaves the directory alone.
+    """
+    if args.command == "report":
+        cfg, paths, manifest = open_run_dir(args.run_dir)
+    else:
+        cfg = load_config(args.config)
+        if "workers" in args:
+            args.workers = resolve_workers(args.workers, cfg)
+        paths, manifest = prepare_run_dir(args.config, cfg)
     with RunLock(paths):
-        run_stage1(cfg, paths, manifest, workers=workers,
+        yield cfg, paths, manifest
+
+
+def _cmd_stage1(args) -> int:
+    with _run_dir(args) as (cfg, paths, manifest):
+        run_stage1(cfg, paths, manifest, workers=args.workers,
                    progress=_print_progress)
     _warn_stage1(manifest["stages"]["stage1"], paths.stage1_csv)
     print(paths.stage1_csv)
@@ -83,9 +100,7 @@ def _cmd_stage1(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    paths, manifest = prepare_run_dir(args.config, cfg)
-    with RunLock(paths):
+    with _run_dir(args) as (cfg, paths, manifest):
         doc = run_optimize(cfg, paths, manifest, stage1_csv=args.stage1,
                            seed=args.seed, budget=args.budget,
                            cold_start=args.cold_start)
@@ -95,9 +110,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_stage3(args) -> int:
-    cfg = load_config(args.config)
-    paths, manifest = prepare_run_dir(args.config, cfg)
-    with RunLock(paths):
+    with _run_dir(args) as (cfg, paths, manifest):
         doc = run_stage3(cfg, paths, manifest, pstar_path=args.pstar)
     _warn_stage3(doc["n_failed_drive_points"])
     print(f"q* pump amplitude {doc['pump_amplitude_ua']:.6g} uA, "
@@ -122,11 +135,10 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg, paths, manifest = open_run_dir(args.run_dir)
-    with RunLock(paths):
+    with _run_dir(args) as (cfg, paths, manifest):
         outputs = run_report(cfg, paths, manifest)
-    for out in outputs:
-        print(os.path.join(paths.run_dir, out))
+    for path in outputs:
+        print(path)
     return 0
 
 

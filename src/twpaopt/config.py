@@ -8,7 +8,7 @@ carry the dotted path).  User-facing units follow fabrication conventions
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .metric import MATCHING_MODES, MetricConfig
 from .network import CellConfig, FrequencyGrid
@@ -23,6 +23,34 @@ class ConfigError(ValueError):
 
 def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
+
+
+def _checked(path: str, build, **kwargs):
+    """build(**kwargs), its ValueError reported as a ConfigError on path."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# Value kinds of _Section.get: (accepts, converts, what the error expects).
+NUMBER = (_is_number, float, "a number")
+INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), int,
+           "an integer")
+STRING = (lambda v: isinstance(v, str), str, "a string")
+BOOLEAN = (lambda v: isinstance(v, bool), bool, "true/false")
+PAIR = (lambda v: _is_number_list(v) and len(v) == 2,
+        lambda v: (float(v[0]), float(v[1])), "[lo, hi]")
+NUMBERS = (lambda v: _is_number_list(v) and len(v) > 0,
+           lambda v: tuple(map(float, v)), "a non-empty number list")
 
 
 class _Section:
@@ -47,65 +75,21 @@ class _Section:
             return default
         return self.data.pop(key)
 
-    def number(self, key, default=_fail):
-        value = self.take(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            if value is default:
-                return value
-            _fail(self._sub(key), f"expected a number, got {value!r}")
-        return float(value)
+    def get(self, key, kind, default=_fail):
+        """The value of key checked and converted as kind, else default.
 
-    def integer(self, key, default=_fail):
-        value = self.take(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            if value is default:
-                return value
-            _fail(self._sub(key), f"expected an integer, got {value!r}")
-        return int(value)
-
-    def string(self, key, default=_fail):
-        value = self.take(key, default)
-        if not isinstance(value, str):
-            if value is default:
-                return value
-            _fail(self._sub(key), f"expected a string, got {value!r}")
-        return value
-
-    def boolean(self, key, default=_fail):
-        value = self.take(key, default)
-        if not isinstance(value, bool):
-            if value is default:
-                return value
-            _fail(self._sub(key), f"expected true/false, got {value!r}")
-        return value
-
-    def optional_number(self, key):
-        value = self.take(key, None)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(self._sub(key), f"expected a number or null, got {value!r}")
-        return float(value)
-
-    def number_pair(self, key, default=_fail):
+        Without a default the key is required.  A default of None also
+        accepts an explicit null.
+        """
+        accepts, convert, expected = kind
         value = self.take(key, default)
         if value is default:
             return value
-        if (not isinstance(value, list) or len(value) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in value)):
-            _fail(self._sub(key), f"expected [lo, hi], got {value!r}")
-        return (float(value[0]), float(value[1]))
-
-    def number_list(self, key, default=_fail):
-        value = self.take(key, default)
-        if value is default:
-            return value
-        if (not isinstance(value, list) or not value
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in value)):
-            _fail(self._sub(key), f"expected a non-empty number list, got {value!r}")
-        return tuple(float(v) for v in value)
+        if not accepts(value):
+            if default is None:
+                expected += " or null"
+            _fail(self._sub(key), f"expected {expected}, got {value!r}")
+        return convert(value)
 
     def section(self, key):
         return _Section(self.take(key, {}), self._sub(key))
@@ -118,13 +102,17 @@ class _Section:
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Stage-3 drive sweep: amplitude grid in uA plus the signal gain band."""
+    """Stage-3 drive sweep: amplitude grid in uA plus the signal gain band.
+
+    flux_phi0 is the configured flux bias in Phi0: ``drive.flux_phi0``, else
+    ``drive.flux_current_ua`` through ``cell.mutual_phi0_per_ua``, else None
+    for the Kerr-free bias of p*.
+    """
 
     pump_amplitudes_ua: tuple
     signal_band: tuple[float, float]
     signal_step: float
     flux_phi0: float | None = None
-    flux_current_ua: float | None = None
 
 
 @dataclass(frozen=True)
@@ -144,39 +132,46 @@ class RunConfig:
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 
-def _parse_dimension(sec: _Section, name: str, default: GridDimension) -> GridDimension:
-    if not sec.has(name):
+def _parse_dimension(sec: _Section, default: GridDimension) -> GridDimension:
+    if not sec.has(default.name):
         return default
-    dim = sec.section(name)
-    bounds = dim.number("min"), dim.number("max"), dim.number("step")
+    dim = sec.section(default.name)
+    bounds = [dim.get(key, NUMBER) for key in ("min", "max", "step")]
     dim.finish()
     try:
-        return GridDimension(name, *bounds)
+        return GridDimension(default.name, *bounds)
     except ValueError as exc:
         # GridDimension's messages start with its name.
         raise ConfigError(f"{sec.path}.{exc}") from None
 
 
 def _parse_grid(sec: _Section) -> ParameterGrid:
-    defaults = table_grid()
-    grid = ParameterGrid(
-        a_j=_parse_dimension(sec, "A_J", defaults.a_j),
-        rho_ic=_parse_dimension(sec, "rho_Ic", defaults.rho_ic),
-        alpha=_parse_dimension(sec, "alpha", defaults.alpha),
-        t=_parse_dimension(sec, "t", defaults.t),
-        l_load=_parse_dimension(sec, "L_load", defaults.l_load),
-        c_load=_parse_dimension(sec, "C_load", defaults.c_load),
-        pitch=_parse_dimension(sec, "pitch", defaults.pitch),
-    )
+    grid = ParameterGrid(*(_parse_dimension(sec, dim)
+                           for dim in table_grid().dims()))
     sec.finish()
     return grid
+
+
+def _parse_stage3_flux(drive: _Section, cell: CellConfig) -> float | None:
+    """The configured stage-3 flux bias in Phi0, checked to lie in [0, 1)."""
+    flux = drive.get("flux_phi0", NUMBER, None)
+    current = drive.get("flux_current_ua", NUMBER, None)
+    key = "drive.flux_phi0"
+    if flux is None and current is not None:
+        key = "drive.flux_current_ua"
+        if cell.mutual_phi0_per_ua is None:
+            _fail(key, "requires cell.mutual_phi0_per_ua")
+        flux = current * cell.mutual_phi0_per_ua
+    if flux is not None and not 0.0 <= flux < 1.0:
+        _fail(key, f"flux bias must be in [0, 1) Phi0, got {flux}")
+    return flux
 
 
 def parse_config(data: dict) -> RunConfig:
     root = _Section(data, "")
 
-    output_dir = root.string("output_dir")
-    cell_count = root.integer("cell_count")
+    output_dir = root.get("output_dir", STRING)
+    cell_count = root.get("cell_count", INTEGER)
     if cell_count <= 0:
         _fail("cell_count", f"must be positive, got {cell_count}")
     workers = root.take("workers", None)
@@ -187,80 +182,75 @@ def parse_config(data: dict) -> RunConfig:
     grid = _parse_grid(root.section("grid"))
 
     cell_sec = root.section("cell")
-    try:
-        cell = CellConfig(
-            pad_area=cell_sec.number("pad_area_um2", 30.0),
-            rel_permittivity=cell_sec.number("rel_permittivity", 9.8),
-            ref_impedance=cell_sec.number("ref_impedance_ohm", 50.0),
-            mutual_phi0_per_ua=cell_sec.optional_number("mutual_phi0_per_ua"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail("cell", str(exc))
+    cell = _checked(
+        "cell", CellConfig,
+        pad_area=cell_sec.get("pad_area_um2", NUMBER, 30.0),
+        rel_permittivity=cell_sec.get("rel_permittivity", NUMBER, 9.8),
+        ref_impedance=cell_sec.get("ref_impedance_ohm", NUMBER, 50.0),
+        mutual_phi0_per_ua=cell_sec.get("mutual_phi0_per_ua", NUMBER, None),
+    )
     cell_sec.finish()
 
     freq_sec = root.section("frequency")
-    try:
-        freq_grid = FrequencyGrid(
-            start=freq_sec.number("start_ghz", 0.0) * GHZ,
-            stop=freq_sec.number("stop_ghz") * GHZ,
-            step=freq_sec.number("step_ghz") * GHZ,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail("frequency", str(exc))
+    start_ghz = freq_sec.get("start_ghz", NUMBER, 0.0)
+    freq_grid = _checked(
+        "frequency", FrequencyGrid,
+        start=start_ghz * GHZ,
+        stop=freq_sec.get("stop_ghz", NUMBER) * GHZ,
+        step=freq_sec.get("step_ghz", NUMBER) * GHZ,
+    )
+    if start_ghz != 0.0:
+        # Stage 1 and the report unwrap the phase of S21 from DC.
+        _fail("frequency.start_ghz",
+              f"must be 0: dispersion is unwrapped from DC, got {start_ghz}")
     freq_sec.finish()
 
     metric_sec = root.section("metric")
-    mode = metric_sec.string("matching_mode")
+    mode = metric_sec.get("matching_mode", STRING)
     if mode not in MATCHING_MODES:
         _fail("metric.matching_mode",
               f"must be one of {MATCHING_MODES}, got {mode!r}")
-    band = metric_sec.number_pair("band_ghz", (4.75, 6.75))
-    try:
-        metric = MetricConfig(
-            matching_mode=mode,
-            band=(band[0] * GHZ, band[1] * GHZ),
-            pump_freq=metric_sec.number("pump_freq_ghz", 11.5) * GHZ,
-            weight_a=metric_sec.number("weight_a", 10.0),
-            weight_b=metric_sec.number("weight_b", 1.0),
-            weight_c=metric_sec.number("weight_c", 10.0),
-            cutoff=metric_sec.optional_number("cutoff"),
-            harmonic_use_s21=metric_sec.boolean("harmonic_use_s21", False),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail("metric", str(exc))
+    band = metric_sec.get("band_ghz", PAIR, (4.75, 6.75))
+    metric = _checked(
+        "metric", MetricConfig,
+        matching_mode=mode,
+        band=(band[0] * GHZ, band[1] * GHZ),
+        pump_freq=metric_sec.get("pump_freq_ghz", NUMBER, 11.5) * GHZ,
+        weight_a=metric_sec.get("weight_a", NUMBER, 10.0),
+        weight_b=metric_sec.get("weight_b", NUMBER, 1.0),
+        weight_c=metric_sec.get("weight_c", NUMBER, 10.0),
+        cutoff=metric_sec.get("cutoff", NUMBER, None),
+        harmonic_use_s21=metric_sec.get("harmonic_use_s21", BOOLEAN, False),
+    )
     metric_sec.finish()
 
     bo_sec = root.section("bayesopt")
-    bo_budget = bo_sec.integer("budget", 200)
+    bo_budget = bo_sec.get("budget", INTEGER, 200)
     if bo_budget < 1:
         _fail("bayesopt.budget", f"must be positive, got {bo_budget}")
-    bo_seed = bo_sec.integer("seed", 0)
+    bo_seed = bo_sec.get("seed", INTEGER, 0)
     bo_sec.finish()
 
     drive_sec = root.section("drive")
-    amplitudes = drive_sec.number_list(
-        "pump_amplitudes_ua",
+    amplitudes = drive_sec.get(
+        "pump_amplitudes_ua", NUMBERS,
         tuple(0.1 + 0.05 * i for i in range(9)),
     )
-    sig_band = drive_sec.number_pair("signal_band_ghz", band)
+    sig_band = drive_sec.get("signal_band_ghz", PAIR, band)
+    step_ghz = drive_sec.get("signal_step_ghz", NUMBER, 0.05)
     drive = DriveConfig(
         pump_amplitudes_ua=amplitudes,
         signal_band=(sig_band[0] * GHZ, sig_band[1] * GHZ),
-        signal_step=drive_sec.number("signal_step_ghz", 0.05) * GHZ,
-        flux_phi0=drive_sec.optional_number("flux_phi0"),
-        flux_current_ua=drive_sec.optional_number("flux_current_ua"),
+        signal_step=step_ghz * GHZ,
+        flux_phi0=_parse_stage3_flux(drive_sec, cell),
     )
     if any(a < 0 for a in amplitudes):
         _fail("drive.pump_amplitudes_ua", "amplitudes must be non-negative")
     if not 0 < drive.signal_band[0] < drive.signal_band[1] < metric.pump_freq:
         _fail("drive.signal_band_ghz",
               "band must satisfy 0 < lo < hi < pump frequency")
+    if not step_ghz > 0:
+        _fail("drive.signal_step_ghz", f"must be positive, got {step_ghz}")
     drive_sec.finish()
 
     root.finish()

@@ -12,8 +12,10 @@ import os
 import socket
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -115,8 +117,25 @@ class RunPaths:
     def report_dir(self):
         return self._p("report")
 
-    def report_file(self, name):
-        return os.path.join(self.report_dir, name)
+    @property
+    def report_dispersion(self):
+        return os.path.join(self.report_dir, "dispersion.csv")
+
+    @property
+    def report_correlation(self):
+        return os.path.join(self.report_dir, "correlation.csv")
+
+    @property
+    def report_histograms(self):
+        return os.path.join(self.report_dir, "histograms.csv")
+
+    @property
+    def report_gain_qstar(self):
+        return os.path.join(self.report_dir, "gain_qstar.csv")
+
+    def relative(self, path):
+        """A path inside the run directory as the manifest names it."""
+        return os.path.relpath(path, self.run_dir)
 
 
 class RunLock:
@@ -173,10 +192,10 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _new_manifest(config_sha: str) -> dict:
+def _new_manifest(paths: RunPaths, config_sha: str) -> dict:
     return {
         "tool_version": TOOL_VERSION,
-        "config_file": "config.json",
+        "config_file": paths.relative(paths.config_copy),
         "config_sha256": config_sha,
         "created_utc": _utcnow(),
         "updated_utc": _utcnow(),
@@ -215,7 +234,7 @@ def prepare_run_dir(config_path, cfg: RunConfig, force: bool = False):
             if os.path.exists(paths.checkpoint):
                 os.unlink(paths.checkpoint)  # keyed to the old config
     if manifest is None:
-        manifest = _new_manifest(config_sha)
+        manifest = _new_manifest(paths, config_sha)
 
     if os.path.abspath(config_path) != os.path.abspath(paths.config_copy):
         with open(config_path, "rb") as fh:
@@ -225,30 +244,36 @@ def prepare_run_dir(config_path, cfg: RunConfig, force: bool = False):
     return paths, manifest
 
 
-def _stage_begin(paths, manifest, name, **extra) -> float:
-    """Mark a stage running; returns its perf_counter start for elapsed_s."""
-    manifest["stages"][name] = {
+@contextmanager
+def _stage(paths: RunPaths, manifest: dict, name: str, **begin_fields):
+    """Record one stage's lifecycle in the manifest around the ``with`` body.
+
+    The entry is saved as running, with ``begin_fields``, before the body
+    runs.  The body fills the yielded dict with ``outputs``, the RunPaths
+    paths it wrote, and any finish fields; a clean exit saves the entry as
+    complete with each output relative to the run directory.  An exception
+    saves it as failed with the error as "Type: message" and propagates.
+    """
+    entry = manifest["stages"][name] = {
         "status": "running",
         "started_utc": _utcnow(),
-        **extra,
+        **begin_fields,
     }
     _save_manifest(paths, manifest)
-    return time.perf_counter()
-
-
-def _stage_finish(paths, manifest, name, started, outputs, **extra):
-    stage = manifest["stages"][name]
-    stage.update(status="complete", finished_utc=_utcnow(),
+    started = time.perf_counter()
+    finish = {}
+    try:
+        yield finish
+    except Exception as exc:
+        entry.update(status="failed", finished_utc=_utcnow(),
+                     elapsed_s=time.perf_counter() - started,
+                     error=f"{type(exc).__name__}: {exc}")
+        _save_manifest(paths, manifest)
+        raise
+    outputs = [paths.relative(path) for path in finish.pop("outputs")]
+    entry.update(status="complete", finished_utc=_utcnow(),
                  elapsed_s=time.perf_counter() - started,
-                 outputs=list(outputs), **extra)
-    _save_manifest(paths, manifest)
-
-
-def _stage_fail(paths, manifest, name, started, exc):
-    manifest["stages"][name].update(
-        status="failed", finished_utc=_utcnow(),
-        elapsed_s=time.perf_counter() - started,
-        error=f"{type(exc).__name__}: {exc}")
+                 outputs=outputs, **finish)
     _save_manifest(paths, manifest)
 
 
@@ -274,8 +299,7 @@ def run_stage1(cfg: RunConfig, paths: RunPaths, manifest: dict,
     The manifest's stage entry records the failed-row count and the count
     per exception type.
     """
-    started = _stage_begin(paths, manifest, "stage1", workers=workers)
-    try:
+    with _stage(paths, manifest, "stage1", workers=workers) as finish:
         records = run_sweep(
             cfg.grid, _sweep_config(cfg), cfg.metric,
             workers=workers, checkpoint_path=paths.checkpoint,
@@ -284,18 +308,15 @@ def run_stage1(cfg: RunConfig, paths: RunPaths, manifest: dict,
         write_records_csv(paths.stage1_csv, records)
         analysis = build_analysis(cfg.grid, records, cfg.metric.cutoff)
         write_json(paths.stage1_analysis, analysis.to_document())
-    except Exception as exc:
-        _stage_fail(paths, manifest, "stage1", started, exc)
-        raise
-    # A failed record's error reads "ExceptionType: message".
-    failures = Counter(r.error.partition(":")[0] for r in records if r.failed)
-    failed = sum(failures.values())
-    _stage_finish(
-        paths, manifest, "stage1", started,
-        ["stage1_records.csv", "stage1_analysis.json",
-         "stage1_checkpoint.jsonl"],
-        grid_points=cfg.grid.size, failed_points=failed,
-        failures_by_type=dict(sorted(failures.items())))
+        # A failed record's error reads "ExceptionType: message".
+        failures = Counter(r.error.partition(":")[0]
+                           for r in records if r.failed)
+        failed = sum(failures.values())
+        finish.update(
+            outputs=[paths.stage1_csv, paths.stage1_analysis,
+                     paths.checkpoint],
+            grid_points=cfg.grid.size, failed_points=failed,
+            failures_by_type=dict(sorted(failures.items())))
     return failed
 
 
@@ -319,17 +340,18 @@ def build_search_space(cfg: RunConfig) -> SearchSpace:
     return SearchSpace(continuous=tuple(continuous), enumerated=tuple(enumerated))
 
 
+def _score(cfg: RunConfig, sweep_cfg: SweepConfig, params: dict):
+    """(Kerr-free flux, metric breakdown) of the device with raw params."""
+    device = device_from_values(
+        [params[name] for name in DIMENSION_NAMES], cfg.cell_count)
+    flux = kerr_free_flux(device.alpha)
+    return flux, evaluate_point(device, flux, sweep_cfg, cfg.metric)
+
+
 def make_objective(cfg: RunConfig):
     """Metric total as a function of a raw parameter dict."""
     sweep_cfg = _sweep_config(cfg)
-
-    def objective(params: dict) -> float:
-        device = device_from_values(
-            [params[name] for name in DIMENSION_NAMES], cfg.cell_count)
-        flux = kerr_free_flux(device.alpha)
-        return evaluate_point(device, flux, sweep_cfg, cfg.metric).total
-
-    return objective
+    return lambda params: _score(cfg, sweep_cfg, params)[1].total
 
 
 def nearest_table_point(params: dict) -> dict:
@@ -372,9 +394,8 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
         warm = [(params, metric)
                 for params, metric, _failed in read_records_csv(stage1_csv)]
 
-    started = _stage_begin(paths, manifest, "optimize", seed=seed,
-                           budget=budget, cold_start=cold_start)
-    try:
+    with _stage(paths, manifest, "optimize", seed=seed, budget=budget,
+                cold_start=cold_start) as finish:
         space = build_search_space(cfg)
         try:
             result = optimize_metric(
@@ -389,10 +410,7 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
              float(h.metric), bool(h.is_incumbent))
             for h in result.history))
 
-        device = device_from_values(
-            [result.best_params[n] for n in DIMENSION_NAMES], cfg.cell_count)
-        flux = kerr_free_flux(device.alpha)
-        breakdown = evaluate_point(device, flux, _sweep_config(cfg), cfg.metric)
+        flux, breakdown = _score(cfg, _sweep_config(cfg), result.best_params)
         doc = {
             "params": {n: result.best_params[n] for n in DIMENSION_NAMES},
             "cell_count": cfg.cell_count,
@@ -407,12 +425,8 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
             "warm_start_size": 0 if warm is None else len(warm),
         }
         write_json(paths.pstar_json, doc)
-    except Exception as exc:
-        _stage_fail(paths, manifest, "optimize", started, exc)
-        raise
-    _stage_finish(paths, manifest, "optimize", started,
-                  ["optimize_trace.csv", "pstar.json"],
-                  inputs=[os.path.basename(stage1_csv)] if warm else [])
+        finish.update(outputs=[paths.trace_csv, paths.pstar_json],
+                      inputs=[os.path.basename(stage1_csv)] if warm else [])
     return doc
 
 
@@ -423,18 +437,11 @@ def _device_from_doc(doc: dict) -> DeviceParams:
 
 
 def _resolve_stage3_flux(cfg: RunConfig, pstar_doc: dict) -> float:
-    """Stage-3 flux bias in Phi0: ``drive.flux_phi0``, else
-    ``drive.flux_current_ua`` through ``cell.mutual_phi0_per_ua``, else the
+    """Stage-3 flux bias in Phi0: the configured bias (``drive.flux_phi0``
+    or ``drive.flux_current_ua``, resolved at load time), else the
     Kerr-free bias recorded with p*."""
-    drive = cfg.drive
-    if drive.flux_phi0 is not None:
-        return float(drive.flux_phi0)
-    if drive.flux_current_ua is not None:
-        mutual = cfg.cell.mutual_phi0_per_ua
-        if mutual is None:
-            raise ConfigError(
-                "drive.flux_current_ua requires cell.mutual_phi0_per_ua")
-        return float(drive.flux_current_ua) * mutual
+    if cfg.drive.flux_phi0 is not None:
+        return cfg.drive.flux_phi0
     return float(pstar_doc["flux_ext_phi0"])
 
 
@@ -452,9 +459,8 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
         raise ConfigError(f"p* file {pstar_path} not found; run optimize first")
     pstar_doc = read_json(pstar_path)
 
-    started = _stage_begin(paths, manifest, "stage3",
-                           inputs=[os.path.basename(pstar_path)])
-    try:
+    with _stage(paths, manifest, "stage3",
+                inputs=[os.path.basename(pstar_path)]) as finish:
         device = _device_from_doc(pstar_doc)
         flux = _resolve_stage3_flux(cfg, pstar_doc)
         grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
@@ -472,14 +478,14 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
             biased.dispersion, biased.expansion, device.cell_count,
             critical_current(junction), drive, amps)
 
-        outputs = ["pstar.s2p", "working_points.csv", "qstar.json"]
+        outputs = [paths.pstar_s2p, paths.working_points, paths.qstar_json]
         for i, profile in enumerate(wp.profiles, start=1):
             if profile is not None:
                 path = paths.gain_profile(i)
                 write_csv(path, GAIN_PROFILE_COLUMNS,
                           zip(profile.freqs, profile.gain_db,
                               profile.pump_depletion))
-                outputs.append(os.path.basename(path))
+                outputs.append(path)
         write_csv(paths.working_points,
                   ("pump_amplitude_uA", "flux_phi0", "performance_dB"),
                   ((amp, flux, perf)
@@ -494,28 +500,25 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
             "pump_freq_hz": cfg.metric.pump_freq,
             "signal_band_hz": list(cfg.drive.signal_band),
             "signal_step_hz": cfg.drive.signal_step,
-            "gain_profile_file": os.path.basename(paths.gain_profile(best + 1)),
+            "gain_profile_file": paths.relative(paths.gain_profile(best + 1)),
             "n_drive_points": len(amps),
             "n_failed_drive_points": sum(p is None for p in wp.profiles),
         }
         write_json(paths.qstar_json, qstar_doc)
-    except Exception as exc:
-        _stage_fail(paths, manifest, "stage3", started, exc)
-        raise
-    _stage_finish(paths, manifest, "stage3", started, outputs,
-                  failed_drive_points=qstar_doc["n_failed_drive_points"])
+        finish.update(outputs=outputs,
+                      failed_drive_points=qstar_doc["n_failed_drive_points"])
     return qstar_doc
 
 
 def run_report(cfg: RunConfig, paths: RunPaths, manifest: dict) -> list:
-    """Plot-ready CSV tables derived from completed stage artifacts."""
+    """Plot-ready CSV tables derived from completed stage artifacts;
+    returns the paths written."""
     for required in (paths.stage1_analysis, paths.pstar_json, paths.qstar_json):
         if not os.path.exists(required):
             raise PipelineError(
                 f"report needs {required}; run the earlier stages first")
 
-    started = _stage_begin(paths, manifest, "report")
-    try:
+    with _stage(paths, manifest, "report") as finish:
         os.makedirs(paths.report_dir, exist_ok=True)
         pstar_doc = read_json(paths.pstar_json)
         analysis_doc = read_json(paths.stage1_analysis)
@@ -528,32 +531,29 @@ def run_report(cfg: RunConfig, paths: RunPaths, manifest: dict) -> list:
         disp = dispersion(resp, device.cell_count)
         f_p = cfg.metric.pump_freq
         freqs = np.unique(np.concatenate((disp.freqs, [f_p, f_p / 2.0])))
-        write_csv(paths.report_file("dispersion.csv"),
+        write_csv(paths.report_dispersion,
                   ("f_Hz", "k_rad_per_cell", "two_k_half_rad_per_cell"),
                   zip(freqs, disp.sample(freqs),
                       2.0 * disp.sample(freqs / 2.0)))
 
         dims = analysis_doc["dimensions"]
-        write_csv(paths.report_file("correlation.csv"), ["param", *dims],
+        write_csv(paths.report_correlation, ["param", *dims],
                   ([name, *map(float, row)]
                    for name, row in zip(dims, analysis_doc["correlation"])))
-        write_csv(paths.report_file("histograms.csv"),
+        write_csv(paths.report_histograms,
                   ("dimension", "value", "weight"),
                   ((h["name"], float(v), float(w))
                    for h in analysis_doc["histograms"]
                    for v, w in zip(h["values"], h["weights"])))
 
         profile_file = qstar_doc.get("gain_profile_file")
-        outputs = ["report/dispersion.csv", "report/correlation.csv",
-                   "report/histograms.csv"]
+        outputs = [paths.report_dispersion, paths.report_correlation,
+                   paths.report_histograms]
         if profile_file:
             with open(os.path.join(paths.run_dir, profile_file)) as fh:
-                atomic_write_text(paths.report_file("gain_qstar.csv"), fh.read())
-            outputs.append("report/gain_qstar.csv")
-    except Exception as exc:
-        _stage_fail(paths, manifest, "report", started, exc)
-        raise
-    _stage_finish(paths, manifest, "report", started, outputs)
+                atomic_write_text(paths.report_gain_qstar, fh.read())
+            outputs.append(paths.report_gain_qstar)
+        finish["outputs"] = outputs
     return outputs
 
 
@@ -561,16 +561,16 @@ def run_pipeline(config_path, cfg: RunConfig, workers: int = 1,
                  force: bool = False, progress=None) -> dict:
     """All stages in order, skipping stages already complete on disk."""
     paths, manifest = prepare_run_dir(config_path, cfg, force=force)
+    runners = {
+        "stage1": partial(run_stage1, workers=workers, progress=progress),
+        "optimize": run_optimize,
+        "stage3": run_stage3,
+        "report": run_report,
+    }
     with RunLock(paths):
-        if not stage_is_complete(paths, manifest, "stage1"):
-            run_stage1(cfg, paths, manifest, workers=workers,
-                       progress=progress)
-        if not stage_is_complete(paths, manifest, "optimize"):
-            run_optimize(cfg, paths, manifest)
-        if not stage_is_complete(paths, manifest, "stage3"):
-            run_stage3(cfg, paths, manifest)
-        if not stage_is_complete(paths, manifest, "report"):
-            run_report(cfg, paths, manifest)
+        for name in STAGE_ORDER:
+            if not stage_is_complete(paths, manifest, name):
+                runners[name](cfg, paths, manifest)
     return read_json(paths.manifest)
 
 

@@ -87,11 +87,6 @@ class SnailSpec:
         junction = self.small_junction
         return josephson_energy(junction.area, junction.current_density)
 
-    @property
-    def large_energy(self) -> float:
-        """Josephson energy of each large junction, in J."""
-        return self.small_energy / self.alpha
-
 
 @dataclass(frozen=True)
 class PotentialExpansion:
@@ -182,7 +177,6 @@ def potential_derivative(spec: SnailSpec, phi, order: int = 1):
     return spec.small_energy * funcs[order](spec.alpha, phi_ext, phi)
 
 
-@functools.lru_cache(maxsize=8192)
 def _phase_minimum_normalized(alpha: float, flux_ext: float) -> float:
     """Potential minimum phase, independent of junction scale.
 

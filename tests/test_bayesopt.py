@@ -791,3 +791,45 @@ def test_dropped_warm_rows_use_up_no_budget():
                              warm_start=warm)
     assert result.new_evaluations == 1
     assert [h.iteration for h in result.history] == [-1] * 10 + [0]
+
+
+def test_incumbents_and_bests_match_their_brute_force_definition():
+    # Warm rows that are NaN, infinite or non-positive are flagged and left
+    # out of the GP data but still compared; ties test first-minimum
+    # tie-breaking.  Failing new evaluations enter the data as sentinels.
+    space = SearchSpace(
+        continuous=(("x", 0.0, 1.0),),
+        enumerated=(("mode", (0.0, 1.0)),),
+    )
+    values = [math.nan, 3.0, math.inf, 2.0, -1.0, 2.0, 0.0, -math.inf,
+              4.0, 2.0, -1.0, 5.0]
+    warm = [({"x": i / 24.0, "mode": float(i % 2)}, v)
+            for i, v in enumerate(values)]
+
+    def objective(params):
+        if params["x"] > 0.7:
+            raise RuntimeError("region failure")
+        return 1.5 + params["x"]
+
+    budget = len(warm) + 2 * MIN_EVALS_PER_COMBO
+    result = optimize_metric(space, objective, budget=budget, seed=4,
+                             warm_start=warm)
+    assert result.new_evaluations == 2 * MIN_EVALS_PER_COMBO
+    assert any(h.flagged and h.iteration >= 0 for h in result.history)
+
+    for ci in (0, 1):
+        rows = [h for h in result.history if h.combo_id == ci]
+        for i, h in enumerate(rows):
+            ys = [r.metric for r in rows[:i] if r.iteration >= 0
+                  or (math.isfinite(r.metric) and r.metric > 0)]
+            assert h.is_incumbent == (not ys or h.metric < min(ys)), (ci, i)
+        finite = [h for h in rows if math.isfinite(h.metric)]
+        best = min(finite, key=lambda h: h.metric)
+        assert result.combo_bests[ci] == {
+            "combo": {"mode": float(ci)}, "params": best.params,
+            "metric": best.metric}
+    finite = [h for h in result.history if math.isfinite(h.metric)]
+    best = min(finite, key=lambda h: h.metric)
+    assert (result.best_params, result.best_metric, result.best_combo_id) == (
+        best.params, best.metric, best.combo_id)
+    assert result.best_metric == -1.0 and result.best_params["x"] == 4 / 24.0

@@ -14,6 +14,7 @@ import pytest
 from conftest import mini_config_doc
 
 import twpaopt
+from twpaopt import pipeline
 from twpaopt import sweep as sweep_mod
 from twpaopt.cli import WORKERS_ENV, main, resolve_workers
 from twpaopt.config import ConfigError, load_config, parse_config
@@ -355,11 +356,14 @@ def test_resumed_stage1_progress_reaches_the_grid_size(tmp_path, capsys):
 
 
 def test_optimize_without_stage1_is_config_error(mini_config, capsys):
-    config_path, _ = mini_config()
+    config_path, run_dir = mini_config()
     assert main(["optimize", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "stage1" in err
+    # The check runs before the stage begins: its entry stays pending.
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["stages"]["optimize"] == {"status": "pending"}
 
 
 def test_report_before_stages_is_runtime_error(mini_config, capsys):
@@ -440,5 +444,51 @@ def test_resolve_stage3_flux(tmp_path):
     assert _resolve_stage3_flux(by_current, pstar) == pytest.approx(
         0.3816, rel=1e-12)
     with pytest.raises(ConfigError, match="mutual_phi0_per_ua"):
-        _resolve_stage3_flux(cfg(flux_current_ua=212.0), pstar)
+        cfg(flux_current_ua=212.0)
     assert _resolve_stage3_flux(cfg(), pstar) == pstar["flux_ext_phi0"]
+
+
+def test_a_failed_stage_is_recorded_then_rerun(mini_config, monkeypatch,
+                                               capsys):
+    config_path, run_dir = mini_config()
+
+    def full_disk(*args):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(pipeline, "write_touchstone", full_disk)
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert "error: OSError: no space left" in capsys.readouterr().err
+    failed = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    assert list(failed["stage3"]) == [
+        "status", "started_utc", "inputs", "finished_utc", "elapsed_s",
+        "error"]
+    assert failed["stage3"]["status"] == "failed"
+    assert failed["stage3"]["error"] == "OSError: no space left"
+    assert failed["stage3"]["elapsed_s"] >= 0.0
+    assert failed["report"] == {"status": "pending"}
+
+    monkeypatch.undo()
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    assert {n: s["status"] for n, s in stages.items()} == dict.fromkeys(
+        ("stage1", "optimize", "stage3", "report"), "complete")
+    for name in ("stage1", "optimize"):
+        assert stages[name] == failed[name]
+    assert [list(stage) for stage in stages.values()] == [
+        ["status", "started_utc", "workers", "finished_utc", "elapsed_s",
+         "outputs", "grid_points", "failed_points", "failures_by_type"],
+        ["status", "started_utc", "seed", "budget", "cold_start",
+         "finished_utc", "elapsed_s", "outputs", "inputs"],
+        ["status", "started_utc", "inputs", "finished_utc", "elapsed_s",
+         "outputs", "failed_drive_points"],
+        ["status", "started_utc", "finished_utc", "elapsed_s", "outputs"],
+    ]
+    assert [stage["outputs"] for stage in stages.values()] == [
+        ["stage1_records.csv", "stage1_analysis.json",
+         "stage1_checkpoint.jsonl"],
+        ["optimize_trace.csv", "pstar.json"],
+        ["pstar.s2p", "working_points.csv", "qstar.json",
+         "gain_profile_001.csv", "gain_profile_002.csv"],
+        ["report/dispersion.csv", "report/correlation.csv",
+         "report/histograms.csv", "report/gain_qstar.csv"],
+    ]

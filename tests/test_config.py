@@ -1,6 +1,7 @@
 """Config loading: closed schema, unit conversion, defaults."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,34 @@ def test_grid_dimension_errors_are_config_errors(tmp_path, capsys, dim,
         load_config(path)
     assert main(["stage1", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"drive": {"signal_step_ghz": 0}},
+     "drive.signal_step_ghz: must be positive, got 0.0"),
+    ({"drive": {"flux_phi0": 1.5}},
+     r"drive.flux_phi0: flux bias must be in \[0, 1\) Phi0, got 1.5"),
+    ({"drive": {"flux_current_ua": 212.0}},
+     "drive.flux_current_ua: requires cell.mutual_phi0_per_ua"),
+    ({"drive": {"flux_current_ua": 600.0},
+      "cell": {"mutual_phi0_per_ua": 0.0018}},
+     r"drive.flux_current_ua: flux bias must be in \[0, 1\) Phi0, got 1.08"),
+    ({"drive": {"flux_current_ua": -10.0},
+      "cell": {"mutual_phi0_per_ua": 0.0018}},
+     r"drive.flux_current_ua: flux bias must be in \[0, 1\) Phi0, got -0.018"),
+    ({"frequency": {"start_ghz": 1.0, "stop_ghz": 24.0, "step_ghz": 0.05}},
+     "frequency.start_ghz: must be 0: dispersion is unwrapped from DC, "
+     "got 1.0"),
+], ids=["signal_step", "flux_phi0", "current_without_mutual",
+        "current_above_one", "current_below_zero", "start_above_dc"])
+def test_values_a_stage_would_reject_fail_at_load(tmp_path, capsys,
+                                                  overrides, message):
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(minimal_doc(**overrides)))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert re.match("config error: " + message, capsys.readouterr().err)
 
 
 def test_shipped_grids_divide_their_ranges():

@@ -1,6 +1,7 @@
 """Smoke tests of the two experiment scripts under scripts/."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,4 +62,22 @@ def test_run_desk_pipeline_rejects_non_positive_workers(tmp_path, capsys):
     code = script.main(["--output", str(tmp_path / "run"), "--workers", "0"])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: --workers")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "config error: cell_count: must be positive, got 0\n"),
+    ("{ not json", "config error: cannot read "),
+], ids=["cell_count", "not_json"])
+def test_run_desk_pipeline_reports_a_config_error(tmp_path, capsys, text,
+                                                  message):
+    script = load_script("run_desk_pipeline")
+    if text is None:
+        doc = json.loads((SCRIPTS.parent / "configs" / "desk.json").read_text())
+        text = json.dumps(dict(doc, cell_count=0))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert script.main(["--config", str(path),
+                        "--output", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "run").exists()
