@@ -44,7 +44,8 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     if args.output is not None:
-        doc["output_dir"] = args.output
+        if isinstance(doc, dict):  # the CLI reports any other document
+            doc["output_dir"] = args.output
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
         config_path = out.parent / (out.name + ".config.json")

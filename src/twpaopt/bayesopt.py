@@ -568,12 +568,11 @@ class HistoryEntry:
 
 @dataclass
 class OptResult:
-    """Optimization outcome: global best plus per-combination bests."""
+    """Optimization outcome: the global best and every evaluation."""
 
     best_params: dict
     best_metric: float
     best_combo_id: int
-    combo_bests: list
     history: list
     new_evaluations: int
 
@@ -657,25 +656,17 @@ def optimize_metric(
                 space, objective, combo, ci, combo_data[ci], alloc[ci], rng, history
             )
 
-    # The first minimum over finite rows, overall and per combination.
-    best, bests = None, {}
+    # The first minimum over finite rows.
+    best = None
     for h in history:
-        if math.isfinite(h.metric):
-            if best is None or h.metric < best.metric:
-                best = h
-            if h.combo_id not in bests or h.metric < bests[h.combo_id].metric:
-                bests[h.combo_id] = h
+        if math.isfinite(h.metric) and (best is None or h.metric < best.metric):
+            best = h
     if best is None:
         raise RuntimeError("optimization produced no finite metric evaluation")
-    combo_bests = [
-        {"combo": combo, "params": bests[ci].params, "metric": bests[ci].metric}
-        for ci, combo in enumerate(combos) if ci in bests
-    ]
     return OptResult(
         best_params=dict(best.params),
         best_metric=best.metric,
         best_combo_id=best.combo_id,
-        combo_bests=combo_bests,
         history=history,
         new_evaluations=new_evals,
     )

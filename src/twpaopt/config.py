@@ -8,7 +8,7 @@ carry the dotted path).  User-facing units follow fabrication conventions
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .metric import MATCHING_MODES, MetricConfig
 from .network import CellConfig, FrequencyGrid
@@ -128,9 +128,6 @@ class RunConfig:
     bo_seed: int = 0
     workers: int | None = None
 
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
-
 
 def _parse_dimension(sec: _Section, default: GridDimension) -> GridDimension:
     if not sec.has(default.name):
@@ -146,8 +143,8 @@ def _parse_dimension(sec: _Section, default: GridDimension) -> GridDimension:
 
 
 def _parse_grid(sec: _Section) -> ParameterGrid:
-    grid = ParameterGrid(*(_parse_dimension(sec, dim)
-                           for dim in table_grid().dims()))
+    grid = ParameterGrid(tuple(_parse_dimension(sec, dim)
+                               for dim in table_grid().dimensions))
     sec.finish()
     return grid
 

@@ -59,8 +59,8 @@ def write_csv(path, header, rows):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def dumps_json17(obj, indent: int = 2) -> str:
-    """JSON text with floats rendered at 17 significant digits.
+def dumps_json17(obj) -> str:
+    """JSON text indented by two spaces, floats at 17 significant digits.
 
     Supports the plain JSON data model (dict, list, str, bool, None, int,
     float).  Key order is preserved, so byte output is deterministic for a
@@ -68,8 +68,8 @@ def dumps_json17(obj, indent: int = 2) -> str:
     """
 
     def render(node, depth):
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
         if isinstance(node, dict):
             if not node:
                 return "{}"

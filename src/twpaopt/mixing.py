@@ -304,10 +304,10 @@ def gain_profile(
     return profile
 
 
-def performance(profile: GainProfile, band: tuple[float, float] | None = None) -> float:
-    """Width-normalized trapezoidal mean of the gain (dB) over the band."""
-    if band is None:
-        band = (float(profile.freqs[0]), float(profile.freqs[-1]))
+def performance(profile: GainProfile) -> float:
+    """Width-normalized trapezoidal mean of the gain (dB) over the profile's
+    signal band."""
+    band = (float(profile.freqs[0]), float(profile.freqs[-1]))
     return float(band_average(profile.freqs, profile.gain_db, band))
 
 

@@ -57,81 +57,39 @@ class PipelineError(RuntimeError):
     """Unrecoverable runtime failure inside a stage."""
 
 
+def _artifact(*parts):
+    """A RunPaths property: the path joined from the run directory."""
+    return property(lambda self: os.path.join(self.run_dir, *parts))
+
+
+_REPORT = "report"
+
+
 @dataclass(frozen=True)
 class RunPaths:
     """Canonical artifact locations inside one run directory."""
 
     run_dir: str
 
-    def _p(self, name):
-        return os.path.join(self.run_dir, name)
-
-    @property
-    def manifest(self):
-        return self._p("manifest.json")
-
-    @property
-    def config_copy(self):
-        return self._p("config.json")
-
-    @property
-    def lock(self):
-        return self._p("lock")
-
-    @property
-    def checkpoint(self):
-        return self._p("stage1_checkpoint.jsonl")
-
-    @property
-    def stage1_csv(self):
-        return self._p("stage1_records.csv")
-
-    @property
-    def stage1_analysis(self):
-        return self._p("stage1_analysis.json")
-
-    @property
-    def trace_csv(self):
-        return self._p("optimize_trace.csv")
-
-    @property
-    def pstar_json(self):
-        return self._p("pstar.json")
-
-    @property
-    def pstar_s2p(self):
-        return self._p("pstar.s2p")
-
-    @property
-    def working_points(self):
-        return self._p("working_points.csv")
-
-    @property
-    def qstar_json(self):
-        return self._p("qstar.json")
+    manifest = _artifact("manifest.json")
+    config_copy = _artifact("config.json")
+    lock = _artifact("lock")
+    checkpoint = _artifact("stage1_checkpoint.jsonl")
+    stage1_csv = _artifact("stage1_records.csv")
+    stage1_analysis = _artifact("stage1_analysis.json")
+    trace_csv = _artifact("optimize_trace.csv")
+    pstar_json = _artifact("pstar.json")
+    pstar_s2p = _artifact("pstar.s2p")
+    working_points = _artifact("working_points.csv")
+    qstar_json = _artifact("qstar.json")
+    report_dir = _artifact(_REPORT)
+    report_dispersion = _artifact(_REPORT, "dispersion.csv")
+    report_correlation = _artifact(_REPORT, "correlation.csv")
+    report_histograms = _artifact(_REPORT, "histograms.csv")
+    report_gain_qstar = _artifact(_REPORT, "gain_qstar.csv")
 
     def gain_profile(self, i):
-        return self._p(f"gain_profile_{i:03d}.csv")
-
-    @property
-    def report_dir(self):
-        return self._p("report")
-
-    @property
-    def report_dispersion(self):
-        return os.path.join(self.report_dir, "dispersion.csv")
-
-    @property
-    def report_correlation(self):
-        return os.path.join(self.report_dir, "correlation.csv")
-
-    @property
-    def report_histograms(self):
-        return os.path.join(self.report_dir, "histograms.csv")
-
-    @property
-    def report_gain_qstar(self):
-        return os.path.join(self.report_dir, "gain_qstar.csv")
+        return os.path.join(self.run_dir, f"gain_profile_{i:03d}.csv")
 
     def relative(self, path):
         """A path inside the run directory as the manifest names it."""
@@ -320,24 +278,31 @@ def run_stage1(cfg: RunConfig, paths: RunPaths, manifest: dict,
     return failed
 
 
+#: Dimensions the surrogate searches continuously when they have more than
+#: one grid value; every other dimension is enumerated.
+SEARCHED_DIMENSIONS = ("A_J", "rho_Ic", "t")
+
+
 def build_search_space(cfg: RunConfig) -> SearchSpace:
     """Continuous junction area / current density / thickness; the low-
-    cardinality dimensions are enumerated exactly."""
-    grid = cfg.grid
-    continuous, enumerated = [], []
-    for name, dim in (("A_J", grid.a_j), ("rho_Ic", grid.rho_ic), ("t", grid.t)):
-        if dim.count == 1:
-            enumerated.append((name, (float(dim.minimum),)))
-        else:
-            continuous.append((name, float(dim.minimum), float(dim.maximum)))
-    for name, dim in (("alpha", grid.alpha), ("L_load", grid.l_load),
-                      ("C_load", grid.c_load), ("pitch", grid.pitch)):
-        enumerated.append((name, tuple(float(v) for v in dim.values())))
-    if not continuous:
+    cardinality dimensions are enumerated exactly.
+
+    Single-valued searched dimensions are enumerated ahead of the others,
+    so the combination ids keep their order.
+    """
+    dims = cfg.grid.dimensions
+    searched = [d for d in dims if d.name in SEARCHED_DIMENSIONS and d.count > 1]
+    if not searched:
         raise ConfigError(
             "grid: surrogate optimization needs at least one continuous "
             "dimension (A_J, rho_Ic or t with more than one grid point)")
-    return SearchSpace(continuous=tuple(continuous), enumerated=tuple(enumerated))
+    enumerated = sorted((d for d in dims if d not in searched),
+                        key=lambda d: d.name not in SEARCHED_DIMENSIONS)
+    return SearchSpace(
+        continuous=tuple((d.name, float(d.minimum), float(d.maximum))
+                         for d in searched),
+        enumerated=tuple((d.name, tuple(float(v) for v in d.values()))
+                         for d in enumerated))
 
 
 def _score(cfg: RunConfig, sweep_cfg: SweepConfig, params: dict):
@@ -356,11 +321,11 @@ def make_objective(cfg: RunConfig):
 
 def nearest_table_point(params: dict) -> dict:
     """Snap each parameter to the closest production-grid value."""
-    table = table_grid()
     snapped = {}
-    for name, dim in zip(DIMENSION_NAMES, table.dims()):
+    for dim in table_grid().dimensions:
         values = dim.values()
-        snapped[name] = float(values[np.argmin(np.abs(values - params[name]))])
+        snapped[dim.name] = float(
+            values[np.argmin(np.abs(values - params[dim.name]))])
     return snapped
 
 

@@ -22,6 +22,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,16 +51,14 @@ DIMENSION_NAMES = ("A_J", "rho_Ic", "alpha", "t", "L_load", "C_load", "pitch")
 #: chunks save little time and hold more (chunk x frequency) arrays.
 CHUNK_POINTS = 16
 
+#: Stage-1 CSV columns of the device parameters, in DIMENSION_NAMES order.
+PARAM_COLUMNS = ("A_J_um2", "rho_Ic_uA_um2", "alpha", "t_nm", "L_load",
+                 "C_load", "pitch")
+
 #: Stage-1 CSV header.
 CSV_COLUMNS = (
     "index",
-    "A_J_um2",
-    "rho_Ic_uA_um2",
-    "alpha",
-    "t_nm",
-    "L_load",
-    "C_load",
-    "pitch",
+    *PARAM_COLUMNS,
     "flux_ext_phi0",
     "matching_term",
     "phase_term",
@@ -68,6 +67,12 @@ CSV_COLUMNS = (
     "failed",
     "wall_time_s",
 )
+
+#: A checkpoint line's breakdown keys in line order: the MetricBreakdown
+#: fields, with band_mean_s11 split into band_mean_re and band_mean_im.
+CHECKPOINT_BREAKDOWN_KEYS = ("matching_term", "phase_term", "harmonic_term",
+                             "total", "band_mean_re", "band_mean_im",
+                             "delta_k", "matching_capped")
 
 
 @dataclass(frozen=True)
@@ -103,55 +108,43 @@ class GridDimension:
 
 @dataclass(frozen=True)
 class ParameterGrid:
-    """The full seven-dimensional design grid."""
+    """The full seven-dimensional design grid, one GridDimension per entry
+    of DIMENSION_NAMES, in that order."""
 
-    a_j: GridDimension
-    rho_ic: GridDimension
-    alpha: GridDimension
-    t: GridDimension
-    l_load: GridDimension
-    c_load: GridDimension
-    pitch: GridDimension
+    dimensions: tuple[GridDimension, ...]
 
-    def dims(self) -> tuple[GridDimension, ...]:
-        return (self.a_j, self.rho_ic, self.alpha, self.t, self.l_load,
-                self.c_load, self.pitch)
+    def __post_init__(self):
+        names = tuple(d.name for d in self.dimensions)
+        if names != DIMENSION_NAMES:
+            raise ValueError(
+                f"grid dimensions {names} are not {DIMENSION_NAMES}")
+
+    def __getitem__(self, name: str) -> GridDimension:
+        return self.dimensions[DIMENSION_NAMES.index(name)]
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(d.count for d in self.dims())
+        return tuple(d.count for d in self.dimensions)
 
     @property
     def size(self) -> int:
         return int(np.prod(self.shape))
 
-    def point_values(self, index: int) -> tuple[float, ...]:
-        """Parameter values at a flat lexicographic index."""
-        return tuple(
-            float(d.values()[i]) for d, i in zip(self.dims(), self.multi_index(index))
-        )
-
-    def multi_index(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.size:
-            raise IndexError(f"grid index {index} out of range")
-        out = []
-        for n in reversed(self.shape):
-            out.append(index % n)
-            index //= n
-        return tuple(reversed(out))
-
 
 def table_grid() -> ParameterGrid:
     """The production design grid (38 720 points)."""
-    return ParameterGrid(
-        a_j=GridDimension("A_J", 0.1, 0.6, 0.05),
-        rho_ic=GridDimension("rho_Ic", 0.5, 1.5, 0.1),
-        alpha=GridDimension("alpha", 0.23, 0.25, 0.02),
-        t=GridDimension("t", 1.0, 20.0, 1.0),
-        l_load=GridDimension("L_load", 1.5, 2.0, 0.5),
-        c_load=GridDimension("C_load", 1.0, 1.5, 0.5),
-        pitch=GridDimension("pitch", 2.0, 3.0, 1.0),
+    # (min, max, step) in DIMENSION_NAMES order.
+    bounds = (
+        (0.1, 0.6, 0.05),    # A_J, um^2
+        (0.5, 1.5, 0.1),     # rho_Ic, uA/um^2
+        (0.23, 0.25, 0.02),  # alpha
+        (1.0, 20.0, 1.0),    # t, nm
+        (1.5, 2.0, 0.5),     # L_load
+        (1.0, 1.5, 0.5),     # C_load
+        (2.0, 3.0, 1.0),     # pitch
     )
+    return ParameterGrid(tuple(
+        GridDimension(name, *b) for name, b in zip(DIMENSION_NAMES, bounds)))
 
 
 def device_from_values(values, cell_count: int) -> DeviceParams:
@@ -170,7 +163,7 @@ def device_from_values(values, cell_count: int) -> DeviceParams:
 
 def enumerate_grid(grid: ParameterGrid, cell_count: int) -> list[DeviceParams]:
     """All grid points in lexicographic order (first dimension slowest)."""
-    axes = [[float(v) for v in d.values()] for d in grid.dims()]
+    axes = [[float(v) for v in d.values()] for d in grid.dimensions]
     return [device_from_values(values, cell_count)
             for values in itertools.product(*axes)]
 
@@ -296,32 +289,20 @@ def _checkpoint_line(rec: SweepRecord) -> str:
     }
     if rec.breakdown is not None:
         b = rec.breakdown
-        doc["breakdown"] = {
-            "matching_term": b.matching_term,
-            "phase_term": b.phase_term,
-            "harmonic_term": b.harmonic_term,
-            "total": b.total,
-            "band_mean_re": b.band_mean_s11.real,
-            "band_mean_im": b.band_mean_s11.imag,
-            "delta_k": b.delta_k,
-            "matching_capped": b.matching_capped,
-        }
+        s11 = {"band_mean_re": b.band_mean_s11.real,
+               "band_mean_im": b.band_mean_s11.imag}
+        doc["breakdown"] = {key: s11[key] if key in s11 else getattr(b, key)
+                            for key in CHECKPOINT_BREAKDOWN_KEYS}
     return json.dumps(doc)
 
 
 def _record_from_checkpoint(doc, params: DeviceParams) -> SweepRecord:
     breakdown = None
     if "breakdown" in doc:
-        b = doc["breakdown"]
-        breakdown = MetricBreakdown(
-            matching_term=b["matching_term"],
-            phase_term=b["phase_term"],
-            harmonic_term=b["harmonic_term"],
-            total=b["total"],
-            band_mean_s11=complex(b["band_mean_re"], b["band_mean_im"]),
-            delta_k=b["delta_k"],
-            matching_capped=b["matching_capped"],
-        )
+        fields = {key: doc["breakdown"][key]
+                  for key in CHECKPOINT_BREAKDOWN_KEYS}
+        s11 = complex(fields.pop("band_mean_re"), fields.pop("band_mean_im"))
+        breakdown = MetricBreakdown(band_mean_s11=s11, **fields)
     return SweepRecord(
         index=doc["index"],
         params=params,
@@ -463,26 +444,28 @@ def write_records_csv(path, records: list[SweepRecord]):
 
 
 def read_records_csv(path):
-    """Parse a stage-1 CSV into (params dict, metric_total, failed) tuples."""
+    """Parse a stage-1 CSV into (params dict, metric_total, failed) tuples.
+
+    The file is written atomically, so a row with the wrong column count
+    is damage: it raises ValueError naming the path and line.
+    """
+    params_at = operator.itemgetter(*map(CSV_COLUMNS.index, PARAM_COLUMNS))
+    total_at = CSV_COLUMNS.index("metric_total")
+    failed_at = CSV_COLUMNS.index("failed")
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected sweep CSV header in {path}")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != len(CSV_COLUMNS):
-                continue
-            params = {
-                "A_J": float(parts[1]),
-                "rho_Ic": float(parts[2]),
-                "alpha": float(parts[3]),
-                "t": float(parts[4]),
-                "L_load": float(parts[5]),
-                "C_load": float(parts[6]),
-                "pitch": float(parts[7]),
-            }
-            rows.append((params, float(parts[12]), parts[13] == "true"))
+                raise ValueError(
+                    f"{path}, line {lineno}: {len(parts)} columns, expected "
+                    f"{len(CSV_COLUMNS)}")
+            params = dict(zip(DIMENSION_NAMES, map(float, params_at(parts))))
+            rows.append((params, float(parts[total_at]),
+                         parts[failed_at] == "true"))
     return rows
 
 
@@ -526,20 +509,19 @@ def weighted_histograms(grid: ParameterGrid, records: list[SweepRecord]):
     in every dimension.  Records with non-positive metric are excluded and
     counted; failed records carry infinite metric and contribute nothing.
     """
-    dims = grid.dims()
     used = [r for r in records if not r.metric_total <= 0]
     weights = 1.0 / np.array([r.metric_total for r in used], dtype=float)
     bins = np.unravel_index(np.array([r.index for r in used], dtype=np.intp),
-                            tuple(d.count for d in dims))
+                            grid.shape)
     # bincount adds the weights into each bin in record order.
     histograms = [
         {
-            "name": DIMENSION_NAMES[axis],
+            "name": d.name,
             "values": [float(v) for v in d.values()],
             "weights": [float(w) for w in np.bincount(
                 bins[axis], weights=weights, minlength=d.count)],
         }
-        for axis, d in enumerate(dims)
+        for axis, d in enumerate(grid.dimensions)
     ]
     return histograms, len(records) - len(used)
 

@@ -28,7 +28,7 @@ from twpaopt.network import (
     wavenumbers,
 )
 from twpaopt.snail import JunctionSpec, SnailSpec, expand_potential, kerr_free_flux
-from twpaopt.sweep import device_from_values, metric_frequency_grid
+from twpaopt.sweep import enumerate_grid, metric_frequency_grid
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
@@ -93,9 +93,7 @@ def desk_batch():
     def get(pitch):
         if pitch not in cache:
             cfg = load_config(DESK_CONFIG)
-            devices = [device_from_values(cfg.grid.point_values(i),
-                                          cfg.cell_count)
-                       for i in range(pitch - 2, 32, 2)]
+            devices = enumerate_grid(cfg.grid, cfg.cell_count)[pitch - 2:32:2]
             assert {d.pitch for d in devices} == {pitch}
             fluxes = [kerr_free_flux(d.alpha) for d in devices]
             grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)

@@ -678,11 +678,14 @@ def test_optimize_metric_covers_every_combo():
         return 0.5 + (params["x"] - shift) ** 2
 
     result = optimize_metric(space, objective, budget=30, seed=3)
-    assert len(result.combo_bests) == 2
-    per_combo = {b["combo"]["mode"]: b["params"]["x"]
-                 for b in result.combo_bests}
-    assert abs(per_combo[0.0] - 0.25) < 0.15
-    assert abs(per_combo[1.0] - 0.75) < 0.15
+    assert {h.combo_id for h in result.history} == {0, 1}
+    per_combo = {}
+    for h in result.history:
+        best = per_combo.get(h.params["mode"])
+        if best is None or h.metric < best.metric:
+            per_combo[h.params["mode"]] = h
+    assert abs(per_combo[0.0].params["x"] - 0.25) < 0.15
+    assert abs(per_combo[1.0].params["x"] - 0.75) < 0.15
 
 
 def test_optimize_metric_records_failures_with_sentinel():
@@ -823,11 +826,6 @@ def test_incumbents_and_bests_match_their_brute_force_definition():
             ys = [r.metric for r in rows[:i] if r.iteration >= 0
                   or (math.isfinite(r.metric) and r.metric > 0)]
             assert h.is_incumbent == (not ys or h.metric < min(ys)), (ci, i)
-        finite = [h for h in rows if math.isfinite(h.metric)]
-        best = min(finite, key=lambda h: h.metric)
-        assert result.combo_bests[ci] == {
-            "combo": {"mode": float(ci)}, "params": best.params,
-            "metric": best.metric}
     finite = [h for h in result.history if math.isfinite(h.metric)]
     best = min(finite, key=lambda h: h.metric)
     assert (result.best_params, result.best_metric, result.best_combo_id) == (

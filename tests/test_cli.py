@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a two-point config, exit codes, resume logic."""
 
+import dataclasses
 import json
 import os
 import signal
@@ -366,6 +367,23 @@ def test_optimize_without_stage1_is_config_error(mini_config, capsys):
     assert manifest["stages"]["optimize"] == {"status": "pending"}
 
 
+def test_build_search_space_enumerates_a_single_valued_t():
+    # A single-valued searched dimension is enumerated ahead of alpha and
+    # the other enumerated dimensions, which keeps the combination ids.
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "desk.json").read_text())
+    doc["grid"]["t"] = {"min": 9.0, "max": 9.0, "step": 1.0}
+    space = pipeline.build_search_space(parse_config(doc))
+    assert space.continuous == (("A_J", 0.1, 0.6), ("rho_Ic", 0.5, 1.5))
+    assert space.enumerated == (
+        ("t", (9.0,)), ("alpha", (0.23, 0.25)), ("L_load", (1.5, 2.0)),
+        ("C_load", (1.0, 1.5)), ("pitch", (2.0, 3.0)))
+    for name in ("A_J", "rho_Ic"):
+        doc["grid"][name] = {"min": 0.5, "max": 0.5, "step": 0.1}
+    with pytest.raises(ConfigError, match="at least one continuous"):
+        pipeline.build_search_space(parse_config(doc))
+
+
 def test_report_before_stages_is_runtime_error(mini_config, capsys):
     config_path, run_dir = mini_config()
     prepare_run_dir(config_path, load_config(config_path))
@@ -398,7 +416,7 @@ def test_resolve_workers_precedence(monkeypatch):
     assert resolve_workers(None, cfg) == 1
     monkeypatch.setenv(WORKERS_ENV, "3")
     assert resolve_workers(None, cfg) == 3
-    cfg_w = cfg.with_overrides(workers=2)
+    cfg_w = dataclasses.replace(cfg, workers=2)
     assert resolve_workers(None, cfg_w) == 2  # config beats environment
     assert resolve_workers(5, cfg_w) == 5  # flag beats both
     for bad in ("zero", "0", "-2"):

@@ -44,8 +44,7 @@ from twpaopt import sweep as sweep_mod
 from twpaopt.config import load_config
 from twpaopt.constants import VACUUM_PERMITTIVITY
 from twpaopt.snail import kerr_free_flux
-from twpaopt.sweep import (SweepConfig, device_from_values, enumerate_grid,
-                           metric_frequency_grid)
+from twpaopt.sweep import SweepConfig, enumerate_grid, metric_frequency_grid
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
@@ -174,7 +173,7 @@ def test_cascade_matches_nodal_solver_at_band_edges(index):
     # A 60-digit evaluation puts the nodal solve within 5e-11 of the exact
     # S-parameters at both points.
     cfg = load_config(DESK_CONFIG)
-    device = device_from_values(cfg.grid.point_values(index), cfg.cell_count)
+    device = enumerate_grid(cfg.grid, cfg.cell_count)[index]
     flux = kerr_free_flux(device.alpha)
     unloaded, loaded = build_cells([device], [flux], cfg.cell)
     grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)

@@ -68,7 +68,8 @@ def test_run_desk_pipeline_rejects_non_positive_workers(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     (None, "config error: cell_count: must be positive, got 0\n"),
     ("{ not json", "config error: cannot read "),
-], ids=["cell_count", "not_json"])
+    ("[1, 2]", "config error: <root>: expected an object, got list\n"),
+], ids=["cell_count", "not_json", "not_object"])
 def test_run_desk_pipeline_reports_a_config_error(tmp_path, capsys, text,
                                                   message):
     script = load_script("run_desk_pipeline")
@@ -77,7 +78,7 @@ def test_run_desk_pipeline_reports_a_config_error(tmp_path, capsys, text,
         text = json.dumps(dict(doc, cell_count=0))
     path = tmp_path / "bad.json"
     path.write_text(text)
-    assert script.main(["--config", str(path),
-                        "--output", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err.startswith(message)
+    for output in (["--output", str(tmp_path / "run")], []):
+        assert script.main(["--config", str(path), *output]) == 2
+        assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "run").exists()

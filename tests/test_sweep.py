@@ -1,5 +1,7 @@
 """Grid enumeration, checkpointed sweep, record analysis."""
 
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -48,15 +50,21 @@ METRIC = MetricConfig(matching_mode="direct", band=(4.75e9, 6.75e9),
 
 
 def tiny_grid():
-    return ParameterGrid(
-        a_j=GridDimension("A_J", 0.3, 0.6, 0.3),
-        rho_ic=GridDimension("rho_Ic", 0.9, 0.9, 0.1),
-        alpha=GridDimension("alpha", 0.23, 0.23, 0.02),
-        t=GridDimension("t", 9.0, 9.0, 1.0),
-        l_load=GridDimension("L_load", 1.5, 1.5, 0.5),
-        c_load=GridDimension("C_load", 1.0, 1.5, 0.5),
-        pitch=GridDimension("pitch", 2.0, 2.0, 1.0),
-    )
+    return ParameterGrid((
+        GridDimension("A_J", 0.3, 0.6, 0.3),
+        GridDimension("rho_Ic", 0.9, 0.9, 0.1),
+        GridDimension("alpha", 0.23, 0.23, 0.02),
+        GridDimension("t", 9.0, 9.0, 1.0),
+        GridDimension("L_load", 1.5, 1.5, 0.5),
+        GridDimension("C_load", 1.0, 1.5, 0.5),
+        GridDimension("pitch", 2.0, 2.0, 1.0),
+    ))
+
+
+def grid_values(grid, index):
+    """Parameter values at a flat grid index, first dimension slowest."""
+    return [float(d.values()[i])
+            for d, i in zip(grid.dimensions, np.unravel_index(index, grid.shape))]
 
 
 def tiny_sweep_cfg():
@@ -85,32 +93,38 @@ def test_grid_dimension_values():
         GridDimension("alpha", 0.2, 0.3, 0.06)
 
 
-def test_point_values_lexicographic_order():
+def test_parameter_grid_takes_dimensions_in_canonical_order():
+    dims = table_grid().dimensions
+    assert tuple(d.name for d in dims) == DIMENSION_NAMES
+    assert table_grid()["t"] == GridDimension("t", 1.0, 20.0, 1.0)
+    with pytest.raises(ValueError, match="are not"):
+        ParameterGrid((dims[1], dims[0], *dims[2:]))
+    with pytest.raises(ValueError, match="are not"):
+        ParameterGrid(dims[:-1])
+
+
+def test_enumerate_grid_lexicographic_order():
     grid = table_grid()
-    assert grid.point_values(0) == (0.1, 0.5, 0.23, 1.0, 1.5, 1.0, 2.0)
+    points = enumerate_grid(grid, 120)
+    assert len(points) == grid.size
+    assert points[0] == device_from_values(
+        (0.1, 0.5, 0.23, 1.0, 1.5, 1.0, 2.0), 120)
     # Last dimension (pitch) varies fastest.
-    assert grid.point_values(1) == (0.1, 0.5, 0.23, 1.0, 1.5, 1.0, 3.0)
-    assert grid.point_values(grid.size - 1) == (
-        0.6, 1.5, 0.25, 20.0, 2.0, 1.5, 3.0)
-    with pytest.raises(IndexError):
-        grid.multi_index(grid.size)
+    assert points[1] == device_from_values(
+        (0.1, 0.5, 0.23, 1.0, 1.5, 1.0, 3.0), 120)
+    assert points[-1] == device_from_values(
+        (0.6, 1.5, 0.25, 20.0, 2.0, 1.5, 3.0), 120)
 
 
-def test_enumerate_grid_matches_point_values():
+def test_enumerate_grid_matches_unravel_index():
+    # weighted_histograms bins a record by np.unravel_index of its index.
     grid = load_config(DESK_CONFIG).grid
     points = enumerate_grid(grid, 120)
-    assert points == [device_from_values(grid.point_values(i), 120)
+    assert points == [device_from_values(grid_values(grid, i), 120)
                       for i in range(grid.size)]
-
-
-def test_multi_index_round_trip():
-    grid = tiny_grid()
-    for i in range(grid.size):
-        mi = grid.multi_index(i)
-        flat = 0
-        for n, j in zip(grid.shape, mi):
-            flat = flat * n + j
-        assert flat == i
+    flat = np.ravel_multi_index(np.unravel_index(np.arange(grid.size),
+                                                 grid.shape), grid.shape)
+    np.testing.assert_array_equal(flat, np.arange(grid.size))
 
 
 def test_device_from_values_rounds_pitch():
@@ -191,15 +205,15 @@ def test_run_sweep_flags_failures_without_aborting(tmp_path, monkeypatch):
 
 def mixed_grid():
     """24 points over both pitches: one full chunk and a partial one."""
-    return ParameterGrid(
-        a_j=GridDimension("A_J", 0.3, 0.6, 0.3),
-        rho_ic=GridDimension("rho_Ic", 0.9, 0.9, 0.1),
-        alpha=GridDimension("alpha", 0.23, 0.25, 0.02),
-        t=GridDimension("t", 3.0, 9.0, 6.0),
-        l_load=GridDimension("L_load", 1.5, 1.5, 0.5),
-        c_load=GridDimension("C_load", 1.0, 1.5, 0.5),
-        pitch=GridDimension("pitch", 2.0, 3.0, 1.0),
-    )
+    return ParameterGrid((
+        GridDimension("A_J", 0.3, 0.6, 0.3),
+        GridDimension("rho_Ic", 0.9, 0.9, 0.1),
+        GridDimension("alpha", 0.23, 0.25, 0.02),
+        GridDimension("t", 3.0, 9.0, 6.0),
+        GridDimension("L_load", 1.5, 1.5, 0.5),
+        GridDimension("C_load", 1.0, 1.5, 0.5),
+        GridDimension("pitch", 2.0, 3.0, 1.0),
+    ))
 
 
 def record_fields(rec):
@@ -284,6 +298,7 @@ def test_resume_inside_a_chunk_is_bitwise_equal(tmp_path):
 def test_records_csv_round_trip(tmp_path):
     grid = tiny_grid()
     records = run_sweep(grid, tiny_sweep_cfg(), METRIC)
+    records.append(fake_record(3, mixed_grid(), 0.0, failed=True))
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
 
@@ -291,12 +306,50 @@ def test_records_csv_round_trip(tmp_path):
     assert header == ",".join(CSV_COLUMNS)
 
     rows = read_records_csv(path)
-    assert len(rows) == grid.size
+    assert len(rows) == grid.size + 1
     for rec, (params, total, failed) in zip(records, rows):
-        assert not failed
+        assert failed == rec.failed
         assert total == rec.metric_total  # 17 significant digits round-trip
-        assert params["A_J"] == rec.params.junction_area
-        assert params["pitch"] == rec.params.pitch
+        assert list(params) == list(DIMENSION_NAMES)
+        assert tuple(params.values()) == sweep_mod.params_as_row(rec.params)
+    assert rows[-1][1:] == (np.inf, True)
+    # The failed row's parameters differ from every clean row's in t and pitch.
+    assert (rows[-1][0]["t"], rows[-1][0]["pitch"]) == (3.0, 3.0)
+
+
+def test_read_records_csv_rejects_a_short_row(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records_csv(path, run_sweep(tiny_grid(), tiny_sweep_cfg(), METRIC))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:lines[2].rindex(",")] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: 14 columns")):
+        read_records_csv(path)
+
+
+def test_checkpoint_lines_are_pinned():
+    params = device_from_values((0.3, 0.9, 0.23, 9.0, 1.5, 1.0, 2.0), 60)
+    clean = SweepRecord(
+        index=5, params=params, flux_ext=0.375, failed=False, wall_time=0.25,
+        breakdown=MetricBreakdown(
+            matching_term=1.5, phase_term=0.125, harmonic_term=2.0,
+            total=3.625, band_mean_s11=complex(-0.5, 0.75), delta_k=0.01,
+            matching_capped=True))
+    failed = SweepRecord(
+        index=6, params=params, flux_ext=0.375, breakdown=None, failed=True,
+        error="SimulationError: S21 is not finite", wall_time=0.5)
+    lines = [sweep_mod._checkpoint_line(rec) for rec in (clean, failed)]
+    assert lines == [
+        '{"index": 5, "flux_ext": 0.375, "failed": false, "error": "", '
+        '"wall_time": 0.25, "breakdown": {"matching_term": 1.5, '
+        '"phase_term": 0.125, "harmonic_term": 2.0, "total": 3.625, '
+        '"band_mean_re": -0.5, "band_mean_im": 0.75, "delta_k": 0.01, '
+        '"matching_capped": true}}',
+        '{"index": 6, "flux_ext": 0.375, "failed": true, '
+        '"error": "SimulationError: S21 is not finite", "wall_time": 0.5}',
+    ]
+    for rec, line in zip((clean, failed), lines):
+        assert sweep_mod._record_from_checkpoint(json.loads(line), params) == rec
 
 
 def test_read_records_csv_rejects_foreign_header(tmp_path):
@@ -307,7 +360,7 @@ def test_read_records_csv_rejects_foreign_header(tmp_path):
 
 
 def fake_record(index, grid, total, failed=False):
-    values = grid.point_values(index)
+    values = grid_values(grid, index)
     breakdown = None
     if not failed:
         breakdown = MetricBreakdown(
@@ -398,13 +451,13 @@ def test_weighted_histograms_equal_the_per_record_sums_on_the_desk_grid():
     records = [fake_record(int(i), grid, totals[i], failed=i in failed)
                for i in rng.permutation(grid.size)]
 
-    expected = [np.zeros(d.count) for d in grid.dims()]
+    expected = [np.zeros(d.count) for d in grid.dimensions]
     expected_excluded = 0
     for r in records:
         if r.metric_total <= 0:
             expected_excluded += 1
             continue
-        for axis, i in enumerate(grid.multi_index(r.index)):
+        for axis, i in enumerate(np.unravel_index(r.index, grid.shape)):
             expected[axis][i] += 1.0 / r.metric_total
 
     histograms, excluded = weighted_histograms(grid, records)
