@@ -116,15 +116,22 @@ def test_enumerate_grid_lexicographic_order():
         (0.6, 1.5, 0.25, 20.0, 2.0, 1.5, 3.0), 120)
 
 
-def test_enumerate_grid_matches_unravel_index():
+def test_enumerate_grid_matches_point_values():
     # weighted_histograms bins a record by np.unravel_index of its index.
     grid = load_config(DESK_CONFIG).grid
     points = enumerate_grid(grid, 120)
     assert points == [device_from_values(grid_values(grid, i), 120)
                       for i in range(grid.size)]
-    flat = np.ravel_multi_index(np.unravel_index(np.arange(grid.size),
-                                                 grid.shape), grid.shape)
-    np.testing.assert_array_equal(flat, np.arange(grid.size))
+
+
+def test_multi_index_round_trip():
+    grid = tiny_grid()
+    for i in range(grid.size):
+        mi = np.unravel_index(i, grid.shape)
+        flat = 0
+        for n, j in zip(grid.shape, mi):
+            flat = flat * n + int(j)
+        assert flat == i
 
 
 def test_device_from_values_rounds_pitch():
