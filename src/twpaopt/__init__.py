@@ -1,8 +1,8 @@
 """Design pipeline for SNAIL-based traveling-wave parametric amplifiers.
 
-Three stages: a linear S-parameter sweep over fabrication parameters, a
-Gaussian-process surrogate search for the best device, and a coupled-mode
-estimate of the three-wave-mixing gain at that device's working point.
+Four stages: a linear S-parameter sweep over fabrication parameters, a
+Gaussian-process surrogate search for the best device, a coupled-mode
+estimate of the three-wave-mixing gain at its working point, and a report.
 """
 
 from .bayesopt import (

@@ -145,9 +145,9 @@ def _cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twpaopt",
-        description="Three-stage traveling-wave parametric amplifier "
+        description="Four-stage traveling-wave parametric amplifier "
                     "design pipeline: grid sweep, surrogate optimization, "
-                    "nonlinear gain.",
+                    "nonlinear gain, report.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -171,10 +171,9 @@ def parse_config(data: dict) -> RunConfig:
     cell_count = root.get("cell_count", INTEGER)
     if cell_count <= 0:
         _fail("cell_count", f"must be positive, got {cell_count}")
-    workers = root.take("workers", None)
-    if workers is not None and (isinstance(workers, bool)
-                                or not isinstance(workers, int) or workers < 1):
-        _fail("workers", f"expected a positive integer, got {workers!r}")
+    workers = root.get("workers", INTEGER, None)
+    if workers is not None and workers < 1:
+        _fail("workers", f"must be positive, got {workers}")
 
     grid = _parse_grid(root.section("grid"))
 

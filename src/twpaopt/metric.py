@@ -72,6 +72,12 @@ class MetricConfig:
             raise ValueError("cutoff must be positive when given")
 
 
+#: A breakdown document's keys in order: the MetricBreakdown fields, with
+#: band_mean_s11 split into band_mean_re and band_mean_im.
+BREAKDOWN_KEYS = ("matching_term", "phase_term", "harmonic_term", "total",
+                  "band_mean_re", "band_mean_im", "delta_k", "matching_capped")
+
+
 @dataclass(frozen=True)
 class MetricBreakdown:
     """Per-term metric values; total is their sum."""
@@ -83,6 +89,20 @@ class MetricBreakdown:
     band_mean_s11: complex
     delta_k: float
     matching_capped: bool = False
+
+    def to_doc(self) -> dict:
+        """The breakdown as a JSON object with the BREAKDOWN_KEYS."""
+        s11 = {"band_mean_re": self.band_mean_s11.real,
+               "band_mean_im": self.band_mean_s11.imag}
+        return {key: s11[key] if key in s11 else getattr(self, key)
+                for key in BREAKDOWN_KEYS}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> MetricBreakdown:
+        """The breakdown that ``to_doc`` wrote as doc."""
+        fields = {key: doc[key] for key in BREAKDOWN_KEYS}
+        s11 = complex(fields.pop("band_mean_re"), fields.pop("band_mean_im"))
+        return cls(band_mean_s11=s11, **fields)
 
 
 def band_average(freqs: np.ndarray, values: np.ndarray, band: tuple[float, float]):

@@ -1,13 +1,14 @@
-"""Three-stage batch orchestration with a manifest and resumable run dirs.
+"""Four-stage batch orchestration with a manifest and resumable run dirs.
 
 A run directory is owned by one pipeline invocation at a time (lock file)
 and carries a manifest recording the config hash, per-stage status and the
-artifact listing.  Stages: grid sweep -> surrogate optimization -> nonlinear
-gain, plus a pure reporting step that re-emits plot-ready tables.
+artifact listing.  STAGE_ORDER: grid sweep -> surrogate optimization ->
+nonlinear gain -> a pure reporting step that re-emits plot-ready tables.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import socket
 import time
@@ -22,17 +23,17 @@ import numpy as np
 from .bayesopt import SearchSpace, optimize_metric
 from .config import ConfigError, RunConfig, load_config
 from .fileio import atomic_write_text, read_json, sha256_of_file, write_csv, write_json
-from .metric import MetricBreakdown
 from .mixing import (
     GAIN_PROFILE_COLUMNS,
     DriveSpec,
     bias_device,
     optimize_working_point,
 )
-from .network import DeviceParams, dispersion, simulate_linear
+from .network import dispersion, simulate_linear
 from .snail import JunctionSpec, critical_current, kerr_free_flux
 from .sweep import (
     DIMENSION_NAMES,
+    DIMENSIONS,
     SweepConfig,
     build_analysis,
     device_from_values,
@@ -51,6 +52,9 @@ STAGE_ORDER = ("stage1", "optimize", "stage3", "report")
 
 TRACE_COLUMNS = ("combo_id", "iteration") + DIMENSION_NAMES + (
     "metric_total", "is_incumbent")
+
+#: A parameter dict's values in DIMENSION_NAMES order.
+_dimension_values = operator.itemgetter(*DIMENSION_NAMES)
 
 
 class PipelineError(RuntimeError):
@@ -307,8 +311,7 @@ def build_search_space(cfg: RunConfig) -> SearchSpace:
 
 def _score(cfg: RunConfig, sweep_cfg: SweepConfig, params: dict):
     """(Kerr-free flux, metric breakdown) of the device with raw params."""
-    device = device_from_values(
-        [params[name] for name in DIMENSION_NAMES], cfg.cell_count)
+    device = device_from_values(_dimension_values(params), cfg.cell_count)
     flux = kerr_free_flux(device.alpha)
     return flux, evaluate_point(device, flux, sweep_cfg, cfg.metric)
 
@@ -327,19 +330,6 @@ def nearest_table_point(params: dict) -> dict:
         snapped[dim.name] = float(
             values[np.argmin(np.abs(values - params[dim.name]))])
     return snapped
-
-
-def _breakdown_doc(b: MetricBreakdown) -> dict:
-    return {
-        "matching_term": b.matching_term,
-        "phase_term": b.phase_term,
-        "harmonic_term": b.harmonic_term,
-        "total": b.total,
-        "band_mean_s11_re": float(np.real(b.band_mean_s11)),
-        "band_mean_s11_im": float(np.imag(b.band_mean_s11)),
-        "delta_k": b.delta_k,
-        "matching_capped": b.matching_capped,
-    }
 
 
 def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
@@ -370,8 +360,7 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
             raise ConfigError(str(exc)) from exc
         write_csv(paths.trace_csv, TRACE_COLUMNS, (
             (h.combo_id, h.iteration,
-             *(int(round(h.params[n])) if n == "pitch" else float(h.params[n])
-               for n in DIMENSION_NAMES),
+             *(d.kind(h.params[d.name]) for d in DIMENSIONS),
              float(h.metric), bool(h.is_incumbent))
             for h in result.history))
 
@@ -380,7 +369,7 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
             "params": {n: result.best_params[n] for n in DIMENSION_NAMES},
             "cell_count": cfg.cell_count,
             "flux_ext_phi0": flux,
-            "metric": _breakdown_doc(breakdown),
+            "metric": breakdown.to_doc(),
             "matching_mode": cfg.metric.matching_mode,
             "nearest_grid_point": nearest_table_point(result.best_params),
             "combo_id": result.best_combo_id,
@@ -393,12 +382,6 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
         finish.update(outputs=[paths.trace_csv, paths.pstar_json],
                       inputs=[os.path.basename(stage1_csv)] if warm else [])
     return doc
-
-
-def _device_from_doc(doc: dict) -> DeviceParams:
-    params = doc["params"]
-    return device_from_values(
-        [params[n] for n in DIMENSION_NAMES], int(doc["cell_count"]))
 
 
 def _resolve_stage3_flux(cfg: RunConfig, pstar_doc: dict) -> float:
@@ -426,7 +409,8 @@ def run_stage3(cfg: RunConfig, paths: RunPaths, manifest: dict,
 
     with _stage(paths, manifest, "stage3",
                 inputs=[os.path.basename(pstar_path)]) as finish:
-        device = _device_from_doc(pstar_doc)
+        device = device_from_values(_dimension_values(pstar_doc["params"]),
+                                    pstar_doc["cell_count"])
         flux = _resolve_stage3_flux(cfg, pstar_doc)
         grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
         biased = bias_device(device, flux, grid, cfg.cell)
@@ -489,7 +473,8 @@ def run_report(cfg: RunConfig, paths: RunPaths, manifest: dict) -> list:
         analysis_doc = read_json(paths.stage1_analysis)
         qstar_doc = read_json(paths.qstar_json)
 
-        device = _device_from_doc(pstar_doc)
+        device = device_from_values(_dimension_values(pstar_doc["params"]),
+                                    pstar_doc["cell_count"])
         grid = metric_frequency_grid(cfg.freq_grid, cfg.metric.pump_freq)
         resp = simulate_linear(
             device, float(pstar_doc["flux_ext_phi0"]), grid, cfg.cell)
@@ -511,13 +496,12 @@ def run_report(cfg: RunConfig, paths: RunPaths, manifest: dict) -> list:
                    for h in analysis_doc["histograms"]
                    for v, w in zip(h["values"], h["weights"])))
 
-        profile_file = qstar_doc.get("gain_profile_file")
+        profile_file = os.path.join(paths.run_dir,
+                                    qstar_doc["gain_profile_file"])
+        with open(profile_file) as fh:
+            atomic_write_text(paths.report_gain_qstar, fh.read())
         outputs = [paths.report_dispersion, paths.report_correlation,
-                   paths.report_histograms]
-        if profile_file:
-            with open(os.path.join(paths.run_dir, profile_file)) as fh:
-                atomic_write_text(paths.report_gain_qstar, fh.read())
-            outputs.append(paths.report_gain_qstar)
+                   paths.report_histograms, paths.report_gain_qstar]
         finish["outputs"] = outputs
     return outputs
 

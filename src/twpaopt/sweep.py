@@ -26,6 +26,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,17 +44,43 @@ from .network import (
 )
 from .snail import kerr_free_flux
 
-#: Grid dimensions in canonical order; also the parameter column order of
-#: every artifact that carries device parameters.
-DIMENSION_NAMES = ("A_J", "rho_Ic", "alpha", "t", "L_load", "C_load", "pitch")
+
+class Dimension(NamedTuple):
+    """A design dimension's names and the kind that converts its values to
+    the DeviceParams field's type (``round`` gives the nearest int)."""
+
+    name: str
+    column: str
+    field: str
+    kind: Callable
+
+
+#: The design dimensions in canonical order, which is also the order of
+#: the DeviceParams fields before cell_count.
+DIMENSIONS = (
+    Dimension("A_J", "A_J_um2", "junction_area", float),
+    Dimension("rho_Ic", "rho_Ic_uA_um2", "current_density", float),
+    Dimension("alpha", "alpha", "alpha", float),
+    Dimension("t", "t_nm", "dielectric_thickness", float),
+    Dimension("L_load", "L_load", "inductance_load_ratio", float),
+    Dimension("C_load", "C_load", "capacitance_load_ratio", float),
+    Dimension("pitch", "pitch", "pitch", round),
+)
+
+#: Grid dimension names in canonical order; also the parameter column
+#: order of every artifact that carries device parameters.
+DIMENSION_NAMES = tuple(d.name for d in DIMENSIONS)
+
+#: Stage-1 CSV columns of the device parameters, in DIMENSION_NAMES order.
+PARAM_COLUMNS = tuple(d.column for d in DIMENSIONS)
+
+_KINDS = tuple(d.kind for d in DIMENSIONS)
+# operator.call is new in Python 3.11.
+_call = getattr(operator, "call", lambda kind, value: kind(value))
 
 #: Consecutive pending points simulated together by run_sweep.  Larger
 #: chunks save little time and hold more (chunk x frequency) arrays.
 CHUNK_POINTS = 16
-
-#: Stage-1 CSV columns of the device parameters, in DIMENSION_NAMES order.
-PARAM_COLUMNS = ("A_J_um2", "rho_Ic_uA_um2", "alpha", "t_nm", "L_load",
-                 "C_load", "pitch")
 
 #: Stage-1 CSV header.
 CSV_COLUMNS = (
@@ -67,12 +94,6 @@ CSV_COLUMNS = (
     "failed",
     "wall_time_s",
 )
-
-#: A checkpoint line's breakdown keys in line order: the MetricBreakdown
-#: fields, with band_mean_s11 split into band_mean_re and band_mean_im.
-CHECKPOINT_BREAKDOWN_KEYS = ("matching_term", "phase_term", "harmonic_term",
-                             "total", "band_mean_re", "band_mean_im",
-                             "delta_k", "matching_capped")
 
 
 @dataclass(frozen=True)
@@ -148,17 +169,9 @@ def table_grid() -> ParameterGrid:
 
 
 def device_from_values(values, cell_count: int) -> DeviceParams:
-    a_j, rho, alpha, t, l_load, c_load, pitch = values
-    return DeviceParams(
-        junction_area=float(a_j),
-        current_density=float(rho),
-        alpha=float(alpha),
-        dielectric_thickness=float(t),
-        inductance_load_ratio=float(l_load),
-        capacitance_load_ratio=float(c_load),
-        pitch=int(round(pitch)),
-        cell_count=int(cell_count),
-    )
+    """The device with values in DIMENSION_NAMES order, each converted to
+    its dimension's kind."""
+    return DeviceParams(*map(_call, _KINDS, values), int(cell_count))
 
 
 def enumerate_grid(grid: ParameterGrid, cell_count: int) -> list[DeviceParams]:
@@ -288,26 +301,17 @@ def _checkpoint_line(rec: SweepRecord) -> str:
         "wall_time": rec.wall_time,
     }
     if rec.breakdown is not None:
-        b = rec.breakdown
-        s11 = {"band_mean_re": b.band_mean_s11.real,
-               "band_mean_im": b.band_mean_s11.imag}
-        doc["breakdown"] = {key: s11[key] if key in s11 else getattr(b, key)
-                            for key in CHECKPOINT_BREAKDOWN_KEYS}
+        doc["breakdown"] = rec.breakdown.to_doc()
     return json.dumps(doc)
 
 
 def _record_from_checkpoint(doc, params: DeviceParams) -> SweepRecord:
-    breakdown = None
-    if "breakdown" in doc:
-        fields = {key: doc["breakdown"][key]
-                  for key in CHECKPOINT_BREAKDOWN_KEYS}
-        s11 = complex(fields.pop("band_mean_re"), fields.pop("band_mean_im"))
-        breakdown = MetricBreakdown(band_mean_s11=s11, **fields)
     return SweepRecord(
         index=doc["index"],
         params=params,
         flux_ext=doc["flux_ext"],
-        breakdown=breakdown,
+        breakdown=(MetricBreakdown.from_doc(doc["breakdown"])
+                   if "breakdown" in doc else None),
         failed=doc["failed"],
         error=doc.get("error", ""),
         wall_time=doc.get("wall_time", 0.0),
@@ -413,17 +417,9 @@ def run_sweep(
     return [records[i] for i in range(len(points))]
 
 
-def params_as_row(p: DeviceParams) -> tuple[float, ...]:
-    """Parameter values in DIMENSION_NAMES order."""
-    return (
-        p.junction_area,
-        p.current_density,
-        p.alpha,
-        p.dielectric_thickness,
-        p.inductance_load_ratio,
-        p.capacitance_load_ratio,
-        float(p.pitch),
-    )
+#: params_as_row(device): the device's values in DIMENSION_NAMES order,
+#: each of its dimension's kind.
+params_as_row = operator.attrgetter(*(d.field for d in DIMENSIONS))
 
 
 def write_records_csv(path, records: list[SweepRecord]):
@@ -433,12 +429,11 @@ def write_records_csv(path, records: list[SweepRecord]):
     """
 
     def row(r: SweepRecord):
-        *values, pitch = params_as_row(r.params)
         b = r.breakdown
         terms = ((b.matching_term, b.phase_term, b.harmonic_term, b.total)
                  if b is not None else (math.inf,) * 4)
-        return (r.index, *values, int(pitch), r.flux_ext, *terms, r.failed,
-                r.wall_time)
+        return (r.index, *params_as_row(r.params), r.flux_ext, *terms,
+                r.failed, r.wall_time)
 
     write_csv(path, CSV_COLUMNS, map(row, records))
 
@@ -554,14 +549,13 @@ def build_analysis(
 ) -> AnalysisReport:
     """Reduce sweep records to an analysis report.
 
-    With a cutoff, statistics cover the surviving subset; an empty subset
-    falls back to all non-failed records so the report stays well formed.
+    With a cutoff, statistics cover the surviving subset.  Without one, or
+    when no record passes it, they cover every non-failed record and the
+    report's cutoff is None.
     """
-    if cutoff is not None:
-        subset = filter_by_cutoff(records, cutoff)
-    else:
-        subset = [r for r in records if not r.failed]
+    subset = [] if cutoff is None else filter_by_cutoff(records, cutoff)
     if not subset:
+        cutoff = None
         subset = [r for r in records if not r.failed]
     if not subset:
         raise ValueError("analysis requires at least one successful record")

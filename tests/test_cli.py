@@ -1,8 +1,10 @@
 """End-to-end CLI runs on a two-point config, exit codes, resume logic."""
 
+import csv
 import dataclasses
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -19,6 +21,7 @@ from twpaopt import pipeline
 from twpaopt import sweep as sweep_mod
 from twpaopt.cli import WORKERS_ENV, main, resolve_workers
 from twpaopt.config import ConfigError, load_config, parse_config
+from twpaopt.metric import BREAKDOWN_KEYS, MetricBreakdown
 from twpaopt.network import simulate_linear
 from twpaopt.pipeline import _resolve_stage3_flux, prepare_run_dir
 from twpaopt.snail import kerr_free_flux
@@ -79,6 +82,27 @@ def test_pipeline_resume_skips_completed_stages(finished_run, capsys):
     assert (run_dir / "pstar.json").read_bytes() == pstar_before
     out = capsys.readouterr().out
     assert out.count(": complete") == 4
+
+
+def test_pstar_metric_is_the_breakdown_document(finished_run):
+    config_path, run_dir = finished_run
+    pstar = json.loads((run_dir / "pstar.json").read_text())
+    assert tuple(pstar["metric"]) == BREAKDOWN_KEYS
+    first = (run_dir / "stage1_checkpoint.jsonl").read_text().splitlines()[0]
+    assert tuple(json.loads(first)["breakdown"]) == BREAKDOWN_KEYS
+    cfg = load_config(config_path)
+    _, breakdown = pipeline._score(cfg, pipeline._sweep_config(cfg),
+                                   pstar["params"])
+    assert MetricBreakdown.from_doc(pstar["metric"]) == breakdown
+
+
+@pytest.mark.parametrize("name", ["stage1_records.csv", "optimize_trace.csv"])
+def test_pitch_is_written_as_an_integer(finished_run, name):
+    _, run_dir = finished_run
+    with open(run_dir / name, newline="") as fh:
+        pitches = [row["pitch"] for row in csv.DictReader(fh)]
+    assert pitches
+    assert [p for p in pitches if not re.fullmatch(r"[0-9]+", p)] == []
 
 
 def test_stage3_accepts_explicit_pstar(finished_run, capsys):

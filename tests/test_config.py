@@ -104,8 +104,11 @@ def test_type_errors_carry_path():
     with pytest.raises(ConfigError, match=r"frequency\.stop_ghz"):
         parse_config(minimal_doc(
             frequency={"stop_ghz": True, "step_ghz": 0.05}))
-    with pytest.raises(ConfigError, match="workers"):
-        parse_config(minimal_doc(workers=0))
+    for workers in (0, True, 1.5, "2"):
+        with pytest.raises(ConfigError, match="^workers: "):
+            parse_config(minimal_doc(workers=workers))
+    assert parse_config(minimal_doc(workers=None)).workers is None
+    assert parse_config(minimal_doc(workers=3)).workers == 3
 
 
 def test_semantic_validation():

@@ -1,5 +1,6 @@
 """Grid enumeration, checkpointed sweep, record analysis."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -16,6 +17,7 @@ from twpaopt.network import (
     CellConfig,
     CellImmittance,
     ConfigurationError,
+    DeviceParams,
     FrequencyGrid,
     build_cells,
     simulate_linear,
@@ -24,6 +26,8 @@ from twpaopt.snail import kerr_free_flux
 from twpaopt.sweep import (
     CSV_COLUMNS,
     DIMENSION_NAMES,
+    DIMENSIONS,
+    PARAM_COLUMNS,
     GridDimension,
     ParameterGrid,
     SweepConfig,
@@ -36,6 +40,7 @@ from twpaopt.sweep import (
     filter_by_cutoff,
     load_checkpoint,
     metric_frequency_grid,
+    params_as_row,
     read_records_csv,
     run_sweep,
     table_grid,
@@ -138,6 +143,26 @@ def test_device_from_values_rounds_pitch():
     dev = device_from_values((0.3, 0.9, 0.23, 9.0, 1.5, 1.0, 3.0), 120)
     assert dev.pitch == 3
     assert dev.cell_count == 120
+    near = device_from_values((0.3, 0.9, 0.23, 9.0, 1.5, 1.0, 2.9999999), 120)
+    assert type(near.pitch) is int and near.pitch == 3
+
+
+def test_dimension_table_is_the_device_params_field_order():
+    # device_from_values passes the converted values by position.
+    fields = [f.name for f in dataclasses.fields(DeviceParams)]
+    assert [d.field for d in DIMENSIONS] + ["cell_count"] == fields
+    assert tuple(d.name for d in DIMENSIONS) == DIMENSION_NAMES
+    assert tuple(d.column for d in DIMENSIONS) == PARAM_COLUMNS
+
+
+def test_device_values_round_trip_on_the_desk_grid():
+    grid = load_config(DESK_CONFIG).grid
+    points = enumerate_grid(grid, 120)
+    assert len(points) == grid.size
+    for p in points:
+        row = params_as_row(p)
+        assert tuple(map(type, row)) == (float,) * 6 + (int,)
+        assert device_from_values(row, 120) == p
 
 
 def test_metric_frequency_grid_extension():
@@ -484,9 +509,13 @@ def test_build_analysis_cutoff_and_fallback():
     assert doc["dimensions"] == list(DIMENSION_NAMES)
     assert len(doc["correlation"]) == len(DIMENSION_NAMES)
 
-    # A cutoff below every record falls back to all non-failed records.
+    # A cutoff below every record falls back to all non-failed records,
+    # and the report records no cutoff.
     fallback = build_analysis(grid, records, cutoff=0.5)
     assert fallback.filtered_count == grid.size
+    assert fallback.cutoff is None
+    assert fallback.to_document()["cutoff"] is None
+    assert build_analysis(grid, records, None).cutoff is None
 
     with pytest.raises(ValueError):
         build_analysis(grid, [fake_record(0, grid, 1.0, failed=True)], None)
