@@ -298,9 +298,22 @@ class _TrainingCovariance:
 
 
 def _pattern_search(fun, theta0, lower, upper, max_evals):
-    """Greedy coordinate pattern search with shrinking steps."""
+    """Greedy coordinate pattern search with shrinking steps.
+
+    Each distinct theta is scored once: a move back onto a theta that this
+    search already scored reuses its value.  ``evals`` still counts every
+    candidate, so the path and the result are those of scoring each one.
+    """
+    scores = {}
+
+    def score(theta):
+        key = theta.tobytes()
+        if key not in scores:
+            scores[key] = fun(theta)
+        return scores[key]
+
     theta = np.clip(np.asarray(theta0, dtype=float), lower, upper)
-    best = fun(theta)
+    best = score(theta)
     evals = 1
     step = 0.5
     while evals < max_evals and step > 1e-3:
@@ -313,7 +326,7 @@ def _pattern_search(fun, theta0, lower, upper, max_evals):
                 cand[i] = min(max(cand[i] + sign * step, lower[i]), upper[i])
                 if cand[i] == theta[i]:
                     continue
-                val = fun(cand)
+                val = score(cand)
                 evals += 1
                 if val < best - 1e-12:
                     theta, best = cand, val
@@ -492,7 +505,9 @@ def propose_next(model: GpModel, rng: np.random.Generator) -> np.ndarray:
 
     Candidate set: N_CANDIDATES uniform draws in the unit cube and N_LOCAL
     Gaussian perturbations (sigma LOCAL_SIGMA, clipped) around the incumbent
-    best.  Deterministic given the generator state.
+    best.  Deterministic given the generator state.  The winner is returned
+    as a copy: a row view would keep the whole candidate block alive for as
+    long as the caller holds the point.
     """
     d = model.x.shape[1]
     uniform = rng.uniform(0.0, 1.0, size=(N_CANDIDATES, d))
@@ -501,7 +516,7 @@ def propose_next(model: GpModel, rng: np.random.Generator) -> np.ndarray:
         incumbent + rng.normal(0.0, LOCAL_SIGMA, size=(N_LOCAL, d)), 0.0, 1.0
     )
     cands = np.vstack((uniform, local))
-    return cands[_ei_argmax(model, cands)]
+    return cands[_ei_argmax(model, cands)].copy()
 
 
 def _ei_argmax(model: GpModel, cands: np.ndarray) -> int:
@@ -615,6 +630,7 @@ def optimize_metric(
         if ci is not None:
             warm_by_combo[ci].append((params, value))
 
+    new_total = budget - sum(len(rows) for rows in warm_by_combo)
     history: list[HistoryEntry] = []
     combo_data = []  # (xs list, ys list) raw metric space
     for ci, rows in enumerate(warm_by_combo):
@@ -630,12 +646,13 @@ def optimize_metric(
                 flagged=not usable,
             ))
             if usable:
-                xs.append(space.normalize(params))
+                # The GP inputs are needed only by a search.
+                if new_total > 0:
+                    xs.append(space.normalize(params))
                 ys.append(float(value))
                 ys_min = min(ys_min, ys[-1])
         combo_data.append((xs, ys))
 
-    new_total = budget - sum(len(rows) for rows in warm_by_combo)
     new_evals = 0
     if new_total > 0:
         if budget < MIN_EVALS_PER_COMBO * n_combos:
@@ -704,7 +721,8 @@ def _optimize_combo(space, objective, combo, ci, data, alloc, rng, history):
             is_incumbent=not ys or value < best,
             flagged=flagged,
         ))
-        xs.append(np.asarray(x_norm, dtype=float))
+        # A copy, never a view of the caller's array.
+        xs.append(np.array(x_norm, dtype=float))
         ys.append(value)
         best = min(best, value)
         used += 1

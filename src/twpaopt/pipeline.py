@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import os
+import resource
 import socket
 import time
 from collections import Counter
@@ -215,6 +216,10 @@ def _stage(paths: RunPaths, manifest: dict, name: str, **begin_fields):
     paths it wrote, and any finish fields; a clean exit saves the entry as
     complete with each output relative to the run directory.  An exception
     saves it as failed with the error as "Type: message" and propagates.
+    Either way the entry closes with the stage's ``elapsed_s`` and
+    ``peak_rss_mb``, the process's resident-set high-water mark at the
+    stage's end (``ru_maxrss``, in KiB on Linux): it only rises, so a
+    process that runs several stages records a running maximum.
     """
     entry = manifest["stages"][name] = {
         "status": "running",
@@ -223,19 +228,25 @@ def _stage(paths: RunPaths, manifest: dict, name: str, **begin_fields):
     }
     _save_manifest(paths, manifest)
     started = time.perf_counter()
+
+    def ended():
+        return {
+            "finished_utc": _utcnow(),
+            "elapsed_s": time.perf_counter() - started,
+            "peak_rss_mb":
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        }
+
     finish = {}
     try:
         yield finish
     except Exception as exc:
-        entry.update(status="failed", finished_utc=_utcnow(),
-                     elapsed_s=time.perf_counter() - started,
+        entry.update(status="failed", **ended(),
                      error=f"{type(exc).__name__}: {exc}")
         _save_manifest(paths, manifest)
         raise
     outputs = [paths.relative(path) for path in finish.pop("outputs")]
-    entry.update(status="complete", finished_utc=_utcnow(),
-                 elapsed_s=time.perf_counter() - started,
-                 outputs=outputs, **finish)
+    entry.update(status="complete", **ended(), outputs=outputs, **finish)
     _save_manifest(paths, manifest)
 
 

@@ -456,6 +456,37 @@ def expected_improvement_quad(mean, var, best):
     return value
 
 
+def pattern_search_unmemoized(fun, theta0, lower, upper, max_evals):
+    """Reference for ``bayesopt._pattern_search`` that scores every candidate.
+
+    The same coordinate pattern search, calling ``fun`` on each candidate,
+    a theta it has already scored included.
+    """
+    theta = np.clip(np.asarray(theta0, dtype=float), lower, upper)
+    best = fun(theta)
+    evals = 1
+    step = 0.5
+    while evals < max_evals and step > 1e-3:
+        improved = False
+        for i in range(theta.size):
+            for sign in (1.0, -1.0):
+                if evals >= max_evals:
+                    break
+                cand = theta.copy()
+                cand[i] = min(max(cand[i] + sign * step, lower[i]), upper[i])
+                if cand[i] == theta[i]:
+                    continue
+                val = fun(cand)
+                evals += 1
+                if val < best - 1e-12:
+                    theta, best = cand, val
+                    improved = True
+                    break
+        if not improved:
+            step *= 0.5
+    return theta, best
+
+
 def ei_argmax_dense(model, cands):
     """EI argmax with every candidate solved: one dense triangular solve."""
     return int(np.argmax(expected_improvement(model, cands)))

@@ -1,6 +1,8 @@
 """GP surrogate, acquisition, and the enumerate-then-optimize driver."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from oracles import (
     expected_improvement_quad,
     gp_posterior_dense,
     log_marginal_likelihood_dense,
+    pattern_search_unmemoized,
     sq_exp_kernel_loops,
 )
 from twpaopt import bayesopt
@@ -23,6 +26,8 @@ from twpaopt.bayesopt import (
     HistoryEntry,
     JITTER_LADDER,
     MIN_EVALS_PER_COMBO,
+    N_CANDIDATES,
+    N_LOCAL,
     SearchSpace,
     _EXP_FAST_MIN,
     _EXP_ZERO_BELOW,
@@ -32,6 +37,7 @@ from twpaopt.bayesopt import (
     _factorize,
     _neg_lml,
     _latent_variance,
+    _pattern_search,
     expected_improvement,
     fit_gp,
     fitted_theta,
@@ -375,6 +381,42 @@ def test_training_covariance_bitwise_over_single_coordinate_moves():
                               kernel(x, x, signal, lengths))
 
 
+def test_pattern_search_scores_each_theta_once(monkeypatch):
+    # fit_gp's own searches, replayed: the search that keeps its scores and
+    # the loop that scores every candidate return the same bits, and the
+    # first scores each distinct theta once.
+    searches = []
+
+    def record(*args):
+        searches.append(args)
+        return _pattern_search(*args)
+
+    monkeypatch.setattr(bayesopt, "_pattern_search", record)
+    x, y = training_set(n=30, d=3)
+    fit_gp(x, y)
+    monkeypatch.undo()
+
+    def logged(fun, log):
+        def score(theta):
+            log.append(theta.tobytes())
+            return fun(theta)
+        return score
+
+    repeats = 0
+    for fun, theta0, lower, upper, max_evals in searches:
+        once, every = [], []
+        theta, best = _pattern_search(logged(fun, once), theta0, lower,
+                                      upper, max_evals)
+        want_theta, want_best = pattern_search_unmemoized(
+            logged(fun, every), theta0, lower, upper, max_evals)
+        assert theta.tobytes() == want_theta.tobytes()
+        assert best == want_best
+        assert len(once) == len(set(once)) and set(once) == set(every)
+        repeats += len(every) - len(once)
+    # The searches do step back onto thetas they have already scored.
+    assert repeats > 0
+
+
 def test_noisy_duplicates_push_noise_up():
     # Identical inputs with conflicting targets can only be explained by
     # observation noise; the fit must not collapse it to the floor.
@@ -393,6 +435,62 @@ def test_propose_next_is_deterministic_and_bounded():
     np.testing.assert_array_equal(a, b)
     assert a.shape == (2,)
     assert np.all(a >= 0.0) and np.all(a <= 1.0)
+
+
+def test_propose_next_returns_an_owned_point():
+    x, y = training_set(d=3)
+    model = GpModel.build(x, y, 1.0, np.full(3, 0.4), 1e-6)
+    point = propose_next(model, np.random.default_rng(4))
+    assert point.shape == (3,) and point.base is None
+
+
+TARGET = {"x0": 0.62, "x1": 0.31, "x2": 0.44}
+TARGET_SPACE = SearchSpace(
+    continuous=tuple((name, 0.0, 1.0) for name in TARGET))
+
+
+def target_quadratic(params):
+    """Criterion 06's objective: a quadratic bowl around TARGET."""
+    return 0.5 + sum((params[n] - TARGET[n]) ** 2 for n in TARGET)
+
+
+def test_proposals_do_not_pin_their_candidate_block(monkeypatch):
+    # The spy keeps every proposal, as a caller that stores points does.
+    # A row view of the candidate block would keep the whole block alive:
+    # N_CANDIDATES + N_LOCAL rows of d floats per proposal.
+    block_bytes = (N_CANDIDATES + N_LOCAL) * TARGET_SPACE.dim * 8
+    traced, kept = [], []
+
+    def spy(model, rng):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        kept.append(propose_next(model, rng))
+        return kept[-1]
+
+    monkeypatch.setattr(bayesopt, "propose_next", spy)
+    tracemalloc.start()
+    try:
+        optimize_metric(TARGET_SPACE, target_quadratic, budget=40, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert len(traced) > 20
+    assert traced[-1] - traced[-21] < block_bytes
+
+
+def test_evaluated_points_do_not_alias_the_proposal(monkeypatch):
+    # Handed a row view of a candidate-sized block, the search stores a
+    # copy of the row: no block outlives the evaluation of its point.
+    blocks, alive = [], []
+
+    def hand_out_a_view(model, rng):
+        alive.append(sum(ref() is not None for ref in blocks))
+        block = np.zeros((N_CANDIDATES + N_LOCAL, model.x.shape[1]))
+        block[0] = propose_next(model, rng)
+        blocks.append(weakref.ref(block))
+        return block[0]
+
+    monkeypatch.setattr(bayesopt, "propose_next", hand_out_a_view)
+    optimize_metric(TARGET_SPACE, target_quadratic, budget=20, seed=0)
+    assert len(alive) > 1 and not any(alive)
 
 
 def candidate_set(model, rng):
@@ -622,15 +720,10 @@ QUADRATIC_HISTORY = """
 
 
 def test_optimize_metric_quadratic_history_pinned():
-    target = {"x0": 0.62, "x1": 0.31, "x2": 0.44}
-    space = SearchSpace(
-        continuous=tuple((name, 0.0, 1.0) for name in target))
-
-    def objective(params):
-        return 0.5 + sum((params[n] - target[n]) ** 2 for n in target)
-
-    result = optimize_metric(space, objective, budget=60, seed=0)
-    got = [[h.params[n].hex() for n in target] + [h.metric.hex()]
+    result = optimize_metric(TARGET_SPACE, target_quadratic, budget=60,
+                             seed=0)
+    names = [name for name, *_ in TARGET_SPACE.continuous]
+    got = [[h.params[n].hex() for n in names] + [h.metric.hex()]
            for h in result.history]
     want = [line.split() for line in QUADRATIC_HISTORY.strip().splitlines()]
     assert got == want
@@ -794,6 +887,28 @@ def test_dropped_warm_rows_use_up_no_budget():
                              warm_start=warm)
     assert result.new_evaluations == 1
     assert [h.iteration for h in result.history] == [-1] * 10 + [0]
+
+
+def test_a_warm_start_that_meets_the_budget_normalizes_nothing(
+        monkeypatch):
+    calls = []
+    normalize = SearchSpace.normalize
+
+    def spy(space, params):
+        calls.append(params)
+        return normalize(space, params)
+
+    monkeypatch.setattr(SearchSpace, "normalize", spy)
+    space = SearchSpace(continuous=(("x", 0.0, 1.0),))
+    warm = [({"x": i / 10.0}, 1.0 + i) for i in range(10)]
+    warm.append(({"x": 0.95}, math.nan))
+    result = optimize_metric(space, lambda p: 1.0, budget=11, seed=0,
+                             warm_start=warm)
+    assert result.new_evaluations == 0 and calls == []
+    # With one evaluation to make, every usable row enters the GP data.
+    result = optimize_metric(space, lambda p: 1.0, budget=12, seed=0,
+                             warm_start=warm)
+    assert result.new_evaluations == 1 and calls == [p for p, _ in warm[:10]]
 
 
 def test_incumbents_and_bests_match_their_brute_force_definition():

@@ -221,8 +221,12 @@ def test_lock_of_a_live_process_refuses(finished_run, capsys):
 def test_manifest_records_stage_times(finished_run):
     _, run_dir = finished_run
     manifest = json.loads((run_dir / "manifest.json").read_text())
+    peaks = []
     for name, stage in manifest["stages"].items():
         assert stage["elapsed_s"] >= 0.0, name
+        peaks.append(stage["peak_rss_mb"])
+    # One process ran the four stages: its high-water mark only rises.
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
 
 
 def test_config_hash_mismatch_requires_force(tmp_path, capsys):
@@ -503,7 +507,7 @@ def test_a_failed_stage_is_recorded_then_rerun(mini_config, monkeypatch,
     failed = json.loads((run_dir / "manifest.json").read_text())["stages"]
     assert list(failed["stage3"]) == [
         "status", "started_utc", "inputs", "finished_utc", "elapsed_s",
-        "error"]
+        "peak_rss_mb", "error"]
     assert failed["stage3"]["status"] == "failed"
     assert failed["stage3"]["error"] == "OSError: no space left"
     assert failed["stage3"]["elapsed_s"] >= 0.0
@@ -518,12 +522,14 @@ def test_a_failed_stage_is_recorded_then_rerun(mini_config, monkeypatch,
         assert stages[name] == failed[name]
     assert [list(stage) for stage in stages.values()] == [
         ["status", "started_utc", "workers", "finished_utc", "elapsed_s",
-         "outputs", "grid_points", "failed_points", "failures_by_type"],
+         "peak_rss_mb", "outputs", "grid_points", "failed_points",
+         "failures_by_type"],
         ["status", "started_utc", "seed", "budget", "cold_start",
-         "finished_utc", "elapsed_s", "outputs", "inputs"],
+         "finished_utc", "elapsed_s", "peak_rss_mb", "outputs", "inputs"],
         ["status", "started_utc", "inputs", "finished_utc", "elapsed_s",
-         "outputs", "failed_drive_points"],
-        ["status", "started_utc", "finished_utc", "elapsed_s", "outputs"],
+         "peak_rss_mb", "outputs", "failed_drive_points"],
+        ["status", "started_utc", "finished_utc", "elapsed_s", "peak_rss_mb",
+         "outputs"],
     ]
     assert [stage["outputs"] for stage in stages.values()] == [
         ["stage1_records.csv", "stage1_analysis.json",
