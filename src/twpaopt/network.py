@@ -380,8 +380,9 @@ def cascade(p: DeviceParams, grid: FrequencyGrid, cells):
         wave = np.where(stop, growth, np.sin(k * theta))
         return np.where(edge, k, wave / divisor)
 
-    scale = sign ** (n - 1) * chebyshev_u(n)
-    shift = sign**n * chebyshev_u(n - 1)
+    # sign is exactly +-1.0, so sign**k is sign for odd k and 1.0 for even k.
+    scale = (1.0 if n % 2 else sign) * chebyshev_u(n)
+    shift = (sign if n % 2 else 1.0) * chebyshev_u(n - 1)
     return (scale * a - shift, scale * b, scale * c, scale * d - shift), log_scale
 
 

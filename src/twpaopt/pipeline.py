@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .bayesopt import SearchSpace, optimize_metric
 from .config import ConfigError, RunConfig, load_config
 from .fileio import atomic_write_text, read_json, sha256_of_file, write_csv, write_json
@@ -46,8 +47,6 @@ from .sweep import (
     write_records_csv,
 )
 from .touchstone import write_touchstone
-
-TOOL_VERSION = "0.1.0"
 
 STAGE_ORDER = ("stage1", "optimize", "stage3", "report")
 

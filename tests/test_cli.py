@@ -105,6 +105,35 @@ def test_pitch_is_written_as_an_integer(finished_run, name):
     assert [p for p in pitches if not re.fullmatch(r"[0-9]+", p)] == []
 
 
+def test_pitch_cells_reach_the_csv_writer_as_int(mini_config, monkeypatch):
+    # format_float(3.0) prints "3", so the written text cannot tell a float
+    # pitch from an int one; the cells handed to write_csv can.
+    cells = {}
+
+    def spy_on(module):
+        original = module.write_csv
+
+        def write_csv(path, header, rows):
+            rows = list(rows)
+            if "pitch" in header:
+                column = list(header).index("pitch")
+                cells[Path(path).name] = [row[column] for row in rows]
+            return original(path, header, rows)
+
+        monkeypatch.setattr(module, "write_csv", write_csv)
+
+    spy_on(sweep_mod)
+    spy_on(pipeline)
+    config_path, _ = mini_config()
+    codes = [main([stage, "--config", str(config_path)])
+             for stage in ("stage1", "optimize")]
+    for name in ("stage1_records.csv", "optimize_trace.csv"):
+        pitches = cells.get(name)
+        assert pitches, name
+        assert [p for p in pitches if type(p) is not int] == [], name
+    assert codes == [0, 0]
+
+
 def test_stage3_accepts_explicit_pstar(finished_run, capsys):
     config_path, run_dir = finished_run
     rc = main(["stage3", "--config", str(config_path),
