@@ -583,7 +583,8 @@ class HistoryEntry:
 
 @dataclass
 class OptResult:
-    """Optimization outcome: the global best and every evaluation."""
+    """Optimization outcome: the global best, the warm-start incumbents
+    and every new evaluation."""
 
     best_params: dict
     best_metric: float
@@ -618,6 +619,11 @@ def optimize_metric(
     at ten times the combination's worst usable value (1e31 before there is
     one) and do not stop the run.  Warm-start rows whose enumerated values
     match no combination are dropped and use up no budget.
+
+    The history holds each combination's warm-start incumbents, then every
+    new evaluation; the caller already holds every warm row.  A warm row
+    that is no incumbent is NaN or no lower than an earlier usable row of
+    its combination, so it can never be the first finite minimum.
     """
     combos = space.combos()
     n_combos = len(combos)
@@ -637,14 +643,15 @@ def optimize_metric(
         xs, ys, ys_min = [], [], math.inf
         for params, value in rows:
             usable = bool(np.isfinite(value) and value > 0)
-            history.append(HistoryEntry(
-                combo_id=ci,
-                iteration=-1,
-                params=dict(params),
-                metric=float(value),
-                is_incumbent=not ys or value < ys_min,
-                flagged=not usable,
-            ))
+            if not ys or value < ys_min:
+                history.append(HistoryEntry(
+                    combo_id=ci,
+                    iteration=-1,
+                    params=dict(params),
+                    metric=float(value),
+                    is_incumbent=True,
+                    flagged=not usable,
+                ))
             if usable:
                 # The GP inputs are needed only by a search.
                 if new_total > 0:

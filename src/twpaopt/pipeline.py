@@ -345,7 +345,11 @@ def nearest_table_point(params: dict) -> dict:
 def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
                  stage1_csv=None, seed=None, budget=None,
                  cold_start: bool = False) -> dict:
-    """Surrogate optimization -> trace CSV + p* JSON.  Returns the p* doc."""
+    """Surrogate optimization -> trace CSV + p* JSON.  Returns the p* doc.
+
+    The trace holds the new evaluations and the warm-start incumbents;
+    every warm-start row stays in the stage-1 records it was read from.
+    """
     seed = cfg.bo_seed if seed is None else seed
     budget = cfg.bo_budget if budget is None else budget
     stage1_csv = stage1_csv or paths.stage1_csv

@@ -842,11 +842,11 @@ def test_warm_start_grouped_by_combination():
     result = optimize_metric(space, lambda p: 1.0, budget=6, seed=0,
                              warm_start=warm)
     assert result.new_evaluations == 0
-    # Combination 0's rows, then combination 1's, each in input order.
+    # Combination 0's incumbents, then combination 1's, each in input
+    # order; 0.5 (5.0 after 3.0) and 0.7 (6.0 after 2.0) are left out.
     assert [(h.combo_id, h.params["x"]) for h in result.history] == [
-        (0, 0.2), (0, 0.5), (0, 0.6), (1, 0.1), (1, 0.4), (1, 0.7)]
-    assert [h.is_incumbent for h in result.history] == [
-        True, False, True, True, True, False]
+        (0, 0.2), (0, 0.6), (1, 0.1), (1, 0.4)]
+    assert all(h.is_incumbent for h in result.history)
     assert all(h.iteration == -1 for h in result.history)
     # The unmatched row (the lowest metric) is dropped.
     assert result.best_metric == 1.0
@@ -886,7 +886,12 @@ def test_dropped_warm_rows_use_up_no_budget():
     result = optimize_metric(space, lambda p: 1.0, budget=11, seed=0,
                              warm_start=warm)
     assert result.new_evaluations == 1
-    assert [h.iteration for h in result.history] == [-1] * 10 + [0]
+    # The rows rise, so the first is the only warm incumbent, and the new
+    # evaluation ties it.
+    assert [(h.iteration, h.is_incumbent) for h in result.history] == [
+        (-1, True), (0, False)]
+    assert result.history[0].params == {"x": 0.0, "mode": 0.0}
+    assert all(h.params["mode"] == 0.0 for h in result.history)
 
 
 def test_a_warm_start_that_meets_the_budget_normalizes_nothing(
@@ -946,3 +951,91 @@ def test_incumbents_and_bests_match_their_brute_force_definition():
     assert (result.best_params, result.best_metric, result.best_combo_id) == (
         best.params, best.metric, best.combo_id)
     assert result.best_metric == -1.0 and result.best_params["x"] == 4 / 24.0
+
+
+def full_history_oracle(space, warm, calls):
+    """optimize_metric's history with every matched warm row kept, built
+    from the warm rows and the objective's (params, value) calls in order.
+
+    Entries are (combo_id, iteration, params, metric hex, is_incumbent,
+    flagged).  Each combination's warm rows come first, combination by
+    combination, then the new evaluations; a row is its combination's
+    incumbent when no usable value precedes it or it is below all of them.
+    """
+    names = [n for n, _ in space.enumerated]
+    combo_of = {tuple(c[n] for n in names): ci
+                for ci, c in enumerate(space.combos())}
+    usable_before = [[] for _ in combo_of]
+    history = []
+
+    def record(ci, iteration, params, value, usable):
+        ys = usable_before[ci]
+        history.append((ci, iteration, params, float(value).hex(),
+                        not ys or value < min(ys), not usable))
+        if usable:
+            ys.append(value)
+
+    for ci in range(len(combo_of)):
+        for params, value in warm:
+            if combo_of.get(tuple(params[n] for n in names)) == ci:
+                record(ci, -1, params, value,
+                       math.isfinite(value) and value > 0)
+    used = [0] * len(combo_of)
+    for params, value in calls:
+        ci = combo_of[tuple(params[n] for n in names)]
+        record(ci, used[ci], params, value, True)
+        used[ci] += 1
+    return history
+
+
+WARM_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, 2.0]),
+    st.floats(0.5, 4.0),
+)
+
+
+@given(
+    warm=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 2.0]),
+                            WARM_VALUES), max_size=30),
+    extra=st.one_of(st.integers(-3, 0), st.integers(1, 3)),
+)
+@settings(max_examples=30, deadline=None)
+def test_history_keeps_the_warm_incumbents_of_the_full_history(warm, extra):
+    # Mode 2.0 matches no combination.  A budget at or below the kept
+    # rows makes no new evaluation; above them it makes at least one, and
+    # never fewer than the per-combination minimum in all.
+    space = SearchSpace(
+        continuous=(("x", 0.0, 1.0),),
+        enumerated=(("mode", (0.0, 1.0)),),
+    )
+    warm = [({"x": x, "mode": mode}, value) for x, mode, value in warm]
+    kept = sum(1 for params, _ in warm if params["mode"] != 2.0)
+    budget = max(kept + extra, 0)
+    if extra > 0:
+        budget = max(budget, 2 * MIN_EVALS_PER_COMBO)
+    calls = []
+
+    def objective(params):
+        value = 1.5 + (params["x"] - 0.25 - 0.5 * params["mode"]) ** 2
+        calls.append((dict(params), value))
+        return value
+
+    if budget <= kept and not any(math.isfinite(value) for params, value
+                                  in warm if params["mode"] != 2.0):
+        with pytest.raises(RuntimeError, match="no finite metric"):
+            optimize_metric(space, objective, budget=budget, seed=0,
+                            warm_start=warm)
+        return
+    result = optimize_metric(space, objective, budget=budget, seed=0,
+                             warm_start=warm)
+
+    full = full_history_oracle(space, warm, calls)
+    # min keeps the first of equal minima.
+    best = min((h for h in full if math.isfinite(float.fromhex(h[3]))),
+               key=lambda h: float.fromhex(h[3]))
+    assert result.new_evaluations == len(calls) == max(budget - kept, 0)
+    assert (result.best_params, result.best_metric.hex(),
+            result.best_combo_id) == (best[2], best[3], best[0])
+    assert [(h.combo_id, h.iteration, h.params, h.metric.hex(),
+             h.is_incumbent, h.flagged) for h in result.history] == [
+        h for h in full if h[1] >= 0 or h[4]]

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import signal
@@ -132,6 +133,49 @@ def test_pitch_cells_reach_the_csv_writer_as_int(mini_config, monkeypatch):
         assert pitches, name
         assert [p for p in pitches if type(p) is not int] == [], name
     assert codes == [0, 0]
+
+
+def test_optimize_trace_holds_new_evaluations_and_warm_incumbents(
+        mini_config):
+    # Nine warm rows over one combination and a budget that leaves ten new
+    # evaluations.  Every warm row stays in stage1_records.csv; the trace
+    # repeats only the incumbents among them, cell for cell.
+    grid = dict(mini_config_doc("")["grid"],
+                A_J={"min": 0.3, "max": 0.5, "step": 0.1},
+                rho_Ic={"min": 0.8, "max": 1.0, "step": 0.1})
+    config_path, run_dir = mini_config(grid=grid,
+                                       bayesopt={"budget": 19, "seed": 0})
+    for stage in ("stage1", "optimize"):
+        assert main([stage, "--config", str(config_path)]) == 0
+
+    def table(name):
+        with open(run_dir / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    records, trace = table("stage1_records.csv"), table("optimize_trace.csv")
+    pstar = json.loads((run_dir / "pstar.json").read_text())
+    assert (len(records), pstar["warm_start_size"]) == (9, 9)
+    assert pstar["new_evaluations"] == 10
+    assert [row["iteration"] for row in trace if row["iteration"] != "-1"] == [
+        str(i) for i in range(10)]
+
+    def cells(row, names):
+        return [row[name] for name in names]
+
+    record_cells = tuple(d.column for d in sweep_mod.DIMENSIONS) + ("metric_total",)
+    trace_cells = sweep_mod.DIMENSION_NAMES + ("metric_total",)
+    incumbents, usable = [], []
+    for row in records:
+        value = float(row["metric_total"])
+        if not usable or value < min(usable):
+            incumbents.append(cells(row, record_cells))
+        if math.isfinite(value) and value > 0:
+            usable.append(value)
+    warm = [row for row in trace if row["iteration"] == "-1"]
+    assert 0 < len(incumbents) < len(records)
+    assert [cells(row, trace_cells) for row in warm] == incumbents
+    assert {row["is_incumbent"] for row in warm} == {"true"}
+    assert len(trace) == len(incumbents) + 10
 
 
 def test_stage3_accepts_explicit_pstar(finished_run, capsys):
