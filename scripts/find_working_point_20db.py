@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Solve for the pump drive of one device that meets a target band-mean gain.
 
-The default device is the optimizer output from the shipped desk run
-(0.49 um^2 junction at 0.9 uA/um^2, alpha 0.23, 9 nm dielectric, loads
-1.5 / 1.0, pitch 3, 360 cells) biased at its Kerr-free flux.  The search
+The default device is the tests' reference device (0.49 um^2 junction at
+0.9 uA/um^2, alpha 0.23, 9 nm dielectric, loads 1.5 / 1.0, pitch 3, 360
+cells; not the desk run's p*) biased at its Kerr-free flux.  The search
 variable is the dimensionless drive xi = I_p / (2 I_c), solved with
 ``mixing.solve_working_point``: one root-find over xi in [0.001, 0.499],
 every gain profile of it the exact depleted-pump solution, so a 70 dB

@@ -1,18 +1,18 @@
 """Command-line entry point.
 
 Exit codes: 0 success (possibly with flagged rows, reported on stderr),
-1 runtime failure, 2 configuration error.  Default worker count comes from
---workers, then the config, then TWPAOPT_WORKERS, then 1.
+1 runtime failure, 2 configuration error.  Every run setting comes from the
+config, except the stage-1 worker count, which only --workers sets
+(default 1).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .pipeline import (
     RunLock,
     RunPaths,
@@ -24,29 +24,6 @@ from .pipeline import (
     run_stage1,
     run_stage3,
 )
-
-WORKERS_ENV = "TWPAOPT_WORKERS"
-
-
-def resolve_workers(flag: int | None, cfg: RunConfig) -> int:
-    if flag is not None:
-        if flag < 1:
-            raise ConfigError(f"--workers must be a positive integer, got {flag}")
-        return flag
-    if cfg.workers is not None:
-        return cfg.workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            raise ConfigError(
-                f"{WORKERS_ENV}={env!r} is not a positive integer") from None
-        return value
-    return 1
-
 
 def _print_progress(done: int, total: int) -> None:
     if done % max(1, total // 20) == 0 or done == total:
@@ -76,15 +53,12 @@ def _run_dir(args):
     """Yield (cfg, paths, manifest) while holding the run directory's lock.
 
     ``report`` opens an existing run directory.  The other commands load
-    --config and prepare its run directory, resolving a --workers flag into
-    ``args.workers`` first so that a bad value leaves the directory alone.
+    --config and prepare its run directory.
     """
     if args.command == "report":
         cfg, paths, manifest = open_run_dir(args.run_dir)
     else:
         cfg = load_config(args.config)
-        if "workers" in args:
-            args.workers = resolve_workers(args.workers, cfg)
         paths, manifest = prepare_run_dir(args.config, cfg)
     with RunLock(paths):
         yield cfg, paths, manifest
@@ -102,7 +76,6 @@ def _cmd_stage1(args) -> int:
 def _cmd_optimize(args) -> int:
     with _run_dir(args) as (cfg, paths, manifest):
         doc = run_optimize(cfg, paths, manifest, stage1_csv=args.stage1,
-                           seed=args.seed, budget=args.budget,
                            cold_start=args.cold_start)
     total = doc["metric"]["total"]
     print(f"p* metric {total:.6g} -> {paths.pstar_json}")
@@ -121,8 +94,7 @@ def _cmd_stage3(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
-    workers = resolve_workers(args.workers, cfg)
-    manifest = run_pipeline(args.config, cfg, workers=workers,
+    manifest = run_pipeline(args.config, cfg, workers=args.workers,
                             force=args.force,
                             progress=_print_progress)
     stages = manifest["stages"]
@@ -153,15 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("stage1", help="run the linear parameter sweep")
     p1.add_argument("--config", required=True)
-    p1.add_argument("--workers", type=int, default=None)
+    p1.add_argument("--workers", type=int, default=1)
     p1.set_defaults(handler=_cmd_stage1)
 
     p2 = sub.add_parser("optimize", help="surrogate optimization for p*")
     p2.add_argument("--config", required=True)
     p2.add_argument("--stage1", default=None,
                     help="stage-1 CSV warm start (default: run dir)")
-    p2.add_argument("--seed", type=int, default=None)
-    p2.add_argument("--budget", type=int, default=None)
     p2.add_argument("--cold-start", action="store_true")
     p2.set_defaults(handler=_cmd_optimize)
 
@@ -173,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p4 = sub.add_parser("pipeline", help="run all stages with resume")
     p4.add_argument("--config", required=True)
-    p4.add_argument("--workers", type=int, default=None)
+    p4.add_argument("--workers", type=int, default=1)
     p4.add_argument("--force", action="store_true",
                     help="restart the run directory on config hash mismatch")
     p4.set_defaults(handler=_cmd_pipeline)
@@ -188,6 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Checked before any command touches its run directory.
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(
+                f"--workers must be a positive integer, got {args.workers}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -104,9 +104,8 @@ class _Section:
 class DriveConfig:
     """Stage-3 drive sweep: amplitude grid in uA plus the signal gain band.
 
-    flux_phi0 is the configured flux bias in Phi0: ``drive.flux_phi0``, else
-    ``drive.flux_current_ua`` through ``cell.mutual_phi0_per_ua``, else None
-    for the Kerr-free bias of p*.
+    flux_phi0 is the configured flux bias in Phi0 (``drive.flux_phi0``), or
+    None for the Kerr-free bias of p*.
     """
 
     pump_amplitudes_ua: tuple
@@ -126,7 +125,6 @@ class RunConfig:
     drive: DriveConfig
     bo_budget: int = 200
     bo_seed: int = 0
-    workers: int | None = None
 
 
 def _parse_dimension(sec: _Section, default: GridDimension) -> GridDimension:
@@ -149,18 +147,12 @@ def _parse_grid(sec: _Section) -> ParameterGrid:
     return grid
 
 
-def _parse_stage3_flux(drive: _Section, cell: CellConfig) -> float | None:
+def _parse_stage3_flux(drive: _Section) -> float | None:
     """The configured stage-3 flux bias in Phi0, checked to lie in [0, 1)."""
     flux = drive.get("flux_phi0", NUMBER, None)
-    current = drive.get("flux_current_ua", NUMBER, None)
-    key = "drive.flux_phi0"
-    if flux is None and current is not None:
-        key = "drive.flux_current_ua"
-        if cell.mutual_phi0_per_ua is None:
-            _fail(key, "requires cell.mutual_phi0_per_ua")
-        flux = current * cell.mutual_phi0_per_ua
     if flux is not None and not 0.0 <= flux < 1.0:
-        _fail(key, f"flux bias must be in [0, 1) Phi0, got {flux}")
+        _fail("drive.flux_phi0",
+              f"flux bias must be in [0, 1) Phi0, got {flux}")
     return flux
 
 
@@ -171,9 +163,6 @@ def parse_config(data: dict) -> RunConfig:
     cell_count = root.get("cell_count", INTEGER)
     if cell_count <= 0:
         _fail("cell_count", f"must be positive, got {cell_count}")
-    workers = root.get("workers", INTEGER, None)
-    if workers is not None and workers < 1:
-        _fail("workers", f"must be positive, got {workers}")
 
     grid = _parse_grid(root.section("grid"))
 
@@ -183,7 +172,6 @@ def parse_config(data: dict) -> RunConfig:
         pad_area=cell_sec.get("pad_area_um2", NUMBER, 30.0),
         rel_permittivity=cell_sec.get("rel_permittivity", NUMBER, 9.8),
         ref_impedance=cell_sec.get("ref_impedance_ohm", NUMBER, 50.0),
-        mutual_phi0_per_ua=cell_sec.get("mutual_phi0_per_ua", NUMBER, None),
     )
     cell_sec.finish()
 
@@ -238,7 +226,7 @@ def parse_config(data: dict) -> RunConfig:
         pump_amplitudes_ua=amplitudes,
         signal_band=(sig_band[0] * GHZ, sig_band[1] * GHZ),
         signal_step=step_ghz * GHZ,
-        flux_phi0=_parse_stage3_flux(drive_sec, cell),
+        flux_phi0=_parse_stage3_flux(drive_sec),
     )
     if any(a < 0 for a in amplitudes):
         _fail("drive.pump_amplitudes_ua", "amplitudes must be non-negative")
@@ -260,7 +248,6 @@ def parse_config(data: dict) -> RunConfig:
         drive=drive,
         bo_budget=bo_budget,
         bo_seed=bo_seed,
-        workers=workers,
     )
 
 

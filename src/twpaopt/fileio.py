@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 
@@ -22,12 +21,16 @@ def format_float(x: float) -> str:
 
 
 def atomic_write_text(path, text: str):
-    """Write text to ``path`` via a same-directory temp file and rename."""
+    """Write text to ``path`` via a same-directory temp file and rename.
+
+    The temp file is named after the writing process and created with
+    ``open``, so the artifact gets the mode the umask gives a new file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -98,14 +98,11 @@ class CellConfig:
     pad_area: gate capacitor pad area in um^2.
     rel_permittivity: gate dielectric relative permittivity.
     ref_impedance: port reference impedance in ohm.
-    mutual_phi0_per_ua: optional flux-line mutual, Phi0 per uA of line
-        current.  Left unset, flux biases must be given directly in Phi0.
     """
 
     pad_area: float = 30.0
     rel_permittivity: float = 9.8
     ref_impedance: float = 50.0
-    mutual_phi0_per_ua: float | None = None
 
     def __post_init__(self):
         if not self.pad_area > 0 or not self.rel_permittivity > 0:

@@ -211,20 +211,25 @@ def _stage(paths: RunPaths, manifest: dict, name: str, **begin_fields):
     """Record one stage's lifecycle in the manifest around the ``with`` body.
 
     The entry is saved as running, with ``begin_fields``, before the body
-    runs.  The body fills the yielded dict with ``outputs``, the RunPaths
-    paths it wrote, and any finish fields; a clean exit saves the entry as
-    complete with each output relative to the run directory.  An exception
+    runs, and every later stage of STAGE_ORDER is reset to pending: its
+    outputs were made from what this stage is about to replace.  The body
+    fills the yielded dict with ``outputs``, the RunPaths paths it wrote,
+    and any finish fields; a clean exit saves the entry as complete with
+    each output relative to the run directory.  An exception
     saves it as failed with the error as "Type: message" and propagates.
     Either way the entry closes with the stage's ``elapsed_s`` and
     ``peak_rss_mb``, the process's resident-set high-water mark at the
     stage's end (``ru_maxrss``, in KiB on Linux): it only rises, so a
     process that runs several stages records a running maximum.
     """
-    entry = manifest["stages"][name] = {
+    stages = manifest["stages"]
+    entry = stages[name] = {
         "status": "running",
         "started_utc": _utcnow(),
         **begin_fields,
     }
+    for later in STAGE_ORDER[STAGE_ORDER.index(name) + 1:]:
+        stages[later] = {"status": "pending"}
     _save_manifest(paths, manifest)
     started = time.perf_counter()
 
@@ -343,15 +348,13 @@ def nearest_table_point(params: dict) -> dict:
 
 
 def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
-                 stage1_csv=None, seed=None, budget=None,
-                 cold_start: bool = False) -> dict:
+                 stage1_csv=None, cold_start: bool = False) -> dict:
     """Surrogate optimization -> trace CSV + p* JSON.  Returns the p* doc.
 
     The trace holds the new evaluations and the warm-start incumbents;
     every warm-start row stays in the stage-1 records it was read from.
     """
-    seed = cfg.bo_seed if seed is None else seed
-    budget = cfg.bo_budget if budget is None else budget
+    seed, budget = cfg.bo_seed, cfg.bo_budget
     stage1_csv = stage1_csv or paths.stage1_csv
 
     warm = None
@@ -399,9 +402,8 @@ def run_optimize(cfg: RunConfig, paths: RunPaths, manifest: dict,
 
 
 def _resolve_stage3_flux(cfg: RunConfig, pstar_doc: dict) -> float:
-    """Stage-3 flux bias in Phi0: the configured bias (``drive.flux_phi0``
-    or ``drive.flux_current_ua``, resolved at load time), else the
-    Kerr-free bias recorded with p*."""
+    """Stage-3 flux bias in Phi0: ``drive.flux_phi0``, else the Kerr-free
+    bias recorded with p*."""
     if cfg.drive.flux_phi0 is not None:
         return cfg.drive.flux_phi0
     return float(pstar_doc["flux_ext_phi0"])

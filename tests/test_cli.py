@@ -1,7 +1,6 @@
 """End-to-end CLI runs on a two-point config, exit codes, resume logic."""
 
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -20,12 +19,12 @@ from conftest import mini_config_doc
 import twpaopt
 from twpaopt import pipeline
 from twpaopt import sweep as sweep_mod
-from twpaopt.cli import WORKERS_ENV, main, resolve_workers
+from twpaopt.cli import main
 from twpaopt.config import ConfigError, load_config, parse_config
 from twpaopt.metric import BREAKDOWN_KEYS, MetricBreakdown
 from twpaopt.network import simulate_linear
 from twpaopt.pipeline import _resolve_stage3_flux, prepare_run_dir
-from twpaopt.snail import kerr_free_flux
+from twpaopt.snail import JunctionSpec, critical_current, kerr_free_flux
 
 EXPECTED_FILES = (
     "config.json",
@@ -178,12 +177,46 @@ def test_optimize_trace_holds_new_evaluations_and_warm_incumbents(
     assert len(trace) == len(incumbents) + 10
 
 
-def test_stage3_accepts_explicit_pstar(finished_run, capsys):
-    config_path, run_dir = finished_run
+def test_stage3_accepts_explicit_pstar(mini_config, capsys):
+    # Its own run: stage 3 turns the report of the run it reruns pending.
+    config_path, run_dir = mini_config()
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    capsys.readouterr()
     rc = main(["stage3", "--config", str(config_path),
                "--pstar", str(run_dir / "pstar.json")])
     assert rc == 0
     assert "q* pump amplitude" in capsys.readouterr().out
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["stages"]["stage3"]["status"] == "complete"
+    assert manifest["stages"]["report"] == {"status": "pending"}
+
+
+def test_a_rerun_stage_turns_its_later_stages_pending(mini_config, capsys):
+    # A cold start replaces p*, so the stage 3 and report made from the
+    # old p* are stale: the next pipeline run recomputes them.  On this
+    # nine-point grid the cold start moves p* off the grid.
+    grid = dict(mini_config_doc("")["grid"],
+                A_J={"min": 0.3, "max": 0.5, "step": 0.1},
+                rho_Ic={"min": 0.8, "max": 1.0, "step": 0.1})
+    config_path, run_dir = mini_config(grid=grid)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    warm_pstar = json.loads((run_dir / "pstar.json").read_text())
+    assert main(["optimize", "--config", str(config_path),
+                 "--cold-start"]) == 0
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    assert stages["stage3"] == stages["report"] == {"status": "pending"}
+    pstar = json.loads((run_dir / "pstar.json").read_text())
+    assert pstar["params"] != warm_pstar["params"]
+
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out.count(": complete") == 4
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    assert stages["optimize"]["cold_start"] is True
+    qstar = json.loads((run_dir / "qstar.json").read_text())
+    i_c = critical_current(JunctionSpec(pstar["params"]["A_J"],
+                                        pstar["params"]["rho_Ic"]))
+    assert qstar["xi"] == qstar["pump_amplitude_ua"] / (2.0 * i_c)
 
 
 def test_stage3_records_a_failed_drive_point(mini_config):
@@ -511,59 +544,57 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "zzz" in capsys.readouterr().err
 
 
-def test_resolve_workers_precedence(monkeypatch):
-    cfg = parse_config(mini_config_doc("unused"))
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert resolve_workers(None, cfg) == 1
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert resolve_workers(None, cfg) == 3
-    cfg_w = dataclasses.replace(cfg, workers=2)
-    assert resolve_workers(None, cfg_w) == 2  # config beats environment
-    assert resolve_workers(5, cfg_w) == 5  # flag beats both
-    for bad in ("zero", "0", "-2"):
-        monkeypatch.setenv(WORKERS_ENV, bad)
-        with pytest.raises(ConfigError):
-            resolve_workers(None, cfg)
-
-
 @pytest.mark.parametrize("flag", [0, -3])
 def test_non_positive_workers_flag_exits_2(mini_config, capsys, flag):
     config_path, run_dir = mini_config()
-    with pytest.raises(ConfigError, match="--workers"):
-        resolve_workers(flag, load_config(config_path))
-    assert main(["stage1", "--config", str(config_path),
-                 "--workers", str(flag)]) == 2
-    assert capsys.readouterr().err.startswith("config error: --workers")
-    assert not (run_dir / "stage1_records.csv").exists()
+    for command in ("stage1", "pipeline"):
+        assert main([command, "--config", str(config_path),
+                     "--workers", str(flag)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --workers")
+        assert not run_dir.exists()
 
 
 def test_optimize_budget_too_small_exits_2(mini_config, capsys):
-    config_path, _ = mini_config()
+    config_path, _ = mini_config(bayesopt={"budget": 3, "seed": 0})
     assert main(["stage1", "--config", str(config_path)]) == 0
     capsys.readouterr()
     # Warm start holds 2 rows; a budget of 3 leaves 1 new evaluation,
     # below the per-combo minimum.
-    assert main(["optimize", "--config", str(config_path),
-                 "--budget", "3"]) == 2
+    assert main(["optimize", "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--budget"])
+def test_optimize_takes_no_seed_or_budget_flag(mini_config, capsys, flag):
+    # bayesopt.seed and bayesopt.budget in the config are their one source.
+    config_path, run_dir = mini_config()
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--config", str(config_path), flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"workers": 2}, "workers"),
+    ({"drive": {"flux_current_ua": 212.0}}, "drive.flux_current_ua"),
+    ({"cell": {"mutual_phi0_per_ua": 0.0018}}, "cell.mutual_phi0_per_ua"),
+])
+def test_removed_config_keys_exit_2(mini_config, capsys, overrides, key):
+    config_path, run_dir = mini_config(**overrides)
+    assert main(["pipeline", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key(s): {key}\n"
+    assert not run_dir.exists()
+
+
 def test_resolve_stage3_flux(tmp_path):
-    def cfg(mutual=None, **drive):
+    def cfg(**drive):
         doc = mini_config_doc(tmp_path)
         doc["drive"].update(drive)
-        if mutual is not None:
-            doc["cell"] = {"mutual_phi0_per_ua": mutual}
         return parse_config(doc)
 
     pstar = {"flux_ext_phi0": 0.38447551700472826}
-    explicit = cfg(mutual=0.0018, flux_phi0=0.38, flux_current_ua=212.0)
-    assert _resolve_stage3_flux(explicit, pstar) == 0.38
-    by_current = cfg(mutual=0.0018, flux_current_ua=212.0)
-    assert _resolve_stage3_flux(by_current, pstar) == pytest.approx(
-        0.3816, rel=1e-12)
-    with pytest.raises(ConfigError, match="mutual_phi0_per_ua"):
-        cfg(flux_current_ua=212.0)
+    assert _resolve_stage3_flux(cfg(flux_phi0=0.38), pstar) == 0.38
     assert _resolve_stage3_flux(cfg(), pstar) == pstar["flux_ext_phi0"]
 
 

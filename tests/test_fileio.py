@@ -1,11 +1,13 @@
-"""The one CSV writer: per-type cell rendering, layout, atomic write."""
+"""The one CSV writer and the atomic write: cell rendering, layout, mode."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from twpaopt.fileio import format_float, write_csv
+from twpaopt.fileio import atomic_write_text, format_float, write_csv
 
 
 def test_write_csv_renders_each_cell_type(tmp_path):
@@ -41,3 +43,19 @@ def test_write_csv_header_only_and_unsupported_cells(tmp_path):
     with pytest.raises(TypeError, match="NoneType"):
         write_csv(tmp_path / "bad.csv", ("a",), [(None,)])
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_atomic_write_text_gives_the_mode_of_the_umask(tmp_path, umask,
+                                                       mode):
+    path = tmp_path / "doc.json"
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(path, "first\n")
+        atomic_write_text(path, "second\n")  # replaces an existing file
+    finally:
+        os.umask(previous)
+    assert path.read_text() == "second\n"
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert os.listdir(tmp_path) == ["doc.json"]

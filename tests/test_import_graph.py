@@ -45,6 +45,15 @@ def test_simulator_modules_load_no_scipy():
     assert scipy_modules(loaded) == []
 
 
+def test_twenty_db_script_loads_no_scipy():
+    # run_path without __main__ runs the script's imports, not its main().
+    script = (Path(__file__).resolve().parents[1] / "scripts"
+              / "find_working_point_20db.py")
+    loaded = loaded_after(f"import runpy; runpy.run_path({str(script)!r})")
+    assert "twpaopt.mixing" in loaded
+    assert scipy_modules(loaded) == []
+
+
 def test_import_leaves_out_scipy_optimize_and_constants():
     loaded = [m for m in loaded_after("import twpaopt, twpaopt.cli")
               if m.startswith("scipy.")]
